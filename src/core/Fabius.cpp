@@ -7,6 +7,7 @@
 #include "staging/Staging.h"
 
 #include <bit>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -134,10 +135,13 @@ Compilation fab::compileOrDie(const std::string &Source,
 
 Machine::Machine(const CompiledUnit &U, VmOptions VmOpts)
     : Unit(U), Sim(VmOpts), Heap(Sim) {
-  Sim.writeBlock(U.CodeBase, U.Code.data(), U.Code.size());
+  [[maybe_unused]] bool Loaded =
+      Sim.writeBlock(U.CodeBase, U.Code.data(), U.Code.size());
+  assert(Loaded && "compiled code does not fit the VM image");
   if (!U.TemplateData.empty()) {
-    Sim.writeBlock(U.TemplateBase, U.TemplateData.data(),
-                   U.TemplateData.size());
+    Loaded = Sim.writeBlock(U.TemplateBase, U.TemplateData.data(),
+                            U.TemplateData.size());
+    assert(Loaded && "template pool does not fit the VM image");
     // Loads from the written template pool are burst copies; the VM
     // coalesces them into TemplateFlush trace events.
     Sim.setTemplateRegion(U.TemplateBase,
@@ -156,7 +160,9 @@ Machine::Machine(const Compilation &C, VmOptions VmOpts)
     : Machine(C.Unit, VmOpts) {
   if (C.PlainUnit) {
     Plain = &*C.PlainUnit;
-    Sim.writeBlock(Plain->CodeBase, Plain->Code.data(), Plain->Code.size());
+    [[maybe_unused]] bool Loaded =
+        Sim.writeBlock(Plain->CodeBase, Plain->Code.data(), Plain->Code.size());
+    assert(Loaded && "Plain image does not fit the VM image");
   }
 }
 

@@ -8,7 +8,9 @@
 /// The memory map and calling/representation conventions shared by the
 /// backend, the runtime, the baselines, and the host facade.
 ///
-/// Memory map (within the default 64 MiB image):
+/// Memory map (within the default 64 MiB image). The image is address
+/// space, not resident memory: the VM calloc's it, so only the pages a
+/// program touches become resident (docs/VM.md, "Memory").
 ///
 ///   0x0000_0000  null guard page (nothing allocated here)
 ///   0x0000_1000  static code  (compiler output incl. generating extensions)

@@ -3,6 +3,7 @@
 #include "service/CachePersist.h"
 
 #include "runtime/HeapImage.h"
+#include "runtime/Layout.h"
 
 #include <cstring>
 #include <fstream>
@@ -59,10 +60,12 @@ void putSegment(std::ostream &OS, const WorkerImage::Segment &S) {
            static_cast<std::streamsize>(S.Words.size() * sizeof(uint32_t)));
 }
 
-bool getSegment(Reader &R, WorkerImage::Segment &S) {
+/// Reads one segment restored at [Base, End): its extent must fit there.
+bool getSegment(Reader &R, WorkerImage::Segment &S, uint32_t Base,
+                uint32_t End) {
   S.FullWords = R.get32();
   uint32_t Stored = R.get32();
-  if (!R.Ok || Stored > S.FullWords)
+  if (!R.Ok || Stored > S.FullWords || S.FullWords > (End - Base) / 4)
     return false;
   S.Words.resize(Stored);
   if (Stored &&
@@ -148,8 +151,13 @@ fab::service::loadCacheFile(const std::string &Path,
   for (WorkerImage &W : F.Workers) {
     W.HpReg = R.get32();
     W.CpReg = R.get32();
-    if (!getSegment(R, W.StaticData) || !getSegment(R, W.Heap) ||
-        !getSegment(R, W.DynCode))
+    if (!getSegment(R, W.StaticData, layout::StaticDataBase,
+                    layout::StaticDataEnd) ||
+        !getSegment(R, W.Heap, layout::HeapBase, layout::HeapEnd) ||
+        !getSegment(R, W.DynCode, layout::DynCodeBase, layout::DynCodeEnd))
+      return std::nullopt;
+    if (W.HpReg < layout::HeapBase || W.HpReg >= layout::HeapEnd ||
+        W.CpReg < layout::DynCodeBase || W.CpReg >= layout::DynCodeEnd)
       return std::nullopt;
     uint32_t InternRows = R.get32();
     if (!R.Ok || InternRows > (1u << 24))
@@ -165,6 +173,8 @@ fab::service::loadCacheFile(const std::string &Path,
                    static_cast<std::streamsize>(Len * sizeof(int32_t))))
         return std::nullopt;
       Row.Addr = R.get32();
+      if (Row.Addr < layout::HeapBase || Row.Addr >= W.HpReg)
+        return std::nullopt;
     }
     uint32_t EntryRows = R.get32();
     if (!R.Ok || EntryRows > (1u << 24))
@@ -188,6 +198,8 @@ fab::service::loadCacheFile(const std::string &Path,
       E.Addr = R.get32();
       E.Bytes = R.get64();
       E.Pinned = R.get8() != 0;
+      if (E.Addr < layout::DynCodeBase || E.Addr >= W.CpReg)
+        return std::nullopt;
     }
     if (!R.Ok)
       return std::nullopt;

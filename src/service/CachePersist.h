@@ -93,8 +93,12 @@ uint64_t compilationFingerprint(const Compilation &C);
 /// Writes \p F to \p Path; false on any I/O failure.
 bool saveCacheFile(const std::string &Path, const CacheFile &F);
 
-/// Reads \p Path, validating magic/version/fingerprint. nullopt (never a
-/// partial file) on missing file, corruption, or fingerprint mismatch.
+/// Reads \p Path, validating magic/version/fingerprint and every restored
+/// extent against runtime/Layout.h: segments fit their regions, hp lies
+/// in the heap, cp in the dynamic segment, entry addresses in
+/// [DynCodeBase, cp) and intern addresses in [HeapBase, hp). nullopt
+/// (never a partial file) on missing file, corruption, a field out of
+/// range, or fingerprint mismatch.
 std::optional<CacheFile> loadCacheFile(const std::string &Path,
                                        uint64_t ExpectFingerprint);
 

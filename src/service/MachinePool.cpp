@@ -262,29 +262,34 @@ void MachinePool::runWorker(unsigned Idx) {
     const WorkerImage &WI = Restore->Workers[Idx];
     Vm &V = M->vm();
     auto restoreSegment = [&](uint32_t Base, const WorkerImage::Segment &S) {
-      if (!S.Words.empty())
-        V.writeBlock(Base, S.Words.data(), S.Words.size());
-      if (S.FullWords > S.Words.size()) {
-        // The file trims trailing zeros; the tail must still be zeroed,
-        // because the fresh machine may hold nonzero init data there.
-        std::vector<uint32_t> Zeros(S.FullWords - S.Words.size(), 0);
-        V.writeBlock(Base + static_cast<uint32_t>(S.Words.size() * 4),
-                     Zeros.data(), Zeros.size());
-      }
+      // The file trims trailing zeros; the tail must still be zeroed,
+      // because the fresh machine may hold nonzero init data there.
+      std::vector<uint32_t> Zeros(S.FullWords - S.Words.size(), 0);
+      return V.writeBlock(Base, S.Words.data(), S.Words.size()) &&
+             V.writeBlock(Base + static_cast<uint32_t>(S.Words.size() * 4),
+                          Zeros.data(), Zeros.size());
     };
-    restoreSegment(layout::StaticDataBase, WI.StaticData);
-    restoreSegment(layout::HeapBase, WI.Heap);
-    restoreSegment(layout::DynCodeBase, WI.DynCode);
-    if (WI.CpReg > layout::DynCodeBase)
-      V.flushIcache(layout::DynCodeBase, WI.CpReg - layout::DynCodeBase);
-    V.setReg(Hp, WI.HpReg);
-    V.setReg(Cp, WI.CpReg);
-    M->heap().advanceTo(WI.HpReg);
-    for (const WorkerImage::InternRow &Row : WI.Intern)
-      Intern[Row.Vec] = Row.Addr;
-    for (const WorkerImage::EntryRow &E : WI.Entries)
-      Cache.importEntry(SpecKey::fromWords(E.Fn, E.Words), E.Addr,
-                        M->codeEpoch(), E.Bytes, E.Pinned);
+    if (restoreSegment(layout::StaticDataBase, WI.StaticData) &&
+        restoreSegment(layout::HeapBase, WI.Heap) &&
+        restoreSegment(layout::DynCodeBase, WI.DynCode)) {
+      if (WI.CpReg > layout::DynCodeBase)
+        V.flushIcache(layout::DynCodeBase, WI.CpReg - layout::DynCodeBase);
+      V.setReg(Hp, WI.HpReg);
+      V.setReg(Cp, WI.CpReg);
+      M->heap().advanceTo(WI.HpReg);
+      for (const WorkerImage::InternRow &Row : WI.Intern)
+        Intern[Row.Vec] = Row.Addr;
+      for (const WorkerImage::EntryRow &E : WI.Entries)
+        Cache.importEntry(SpecKey::fromWords(E.Fn, E.Words), E.Addr,
+                          M->codeEpoch(), E.Bytes, E.Pinned);
+    } else {
+      // An image that does not fit the VM: discard the partial restore.
+      std::fprintf(stderr,
+                   "fab: worker %u's cached image does not fit the VM; "
+                   "cold-starting\n",
+                   Idx);
+      rebuild();
+    }
   }
 
   // Moves everything buffered in the machine's trace ring into the

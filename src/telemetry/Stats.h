@@ -37,6 +37,7 @@ struct VmStats {
   uint64_t FlushedBytes = 0;
   uint64_t Cycles = 0; ///< Executed + modeled flush penalties
 
+  bool operator==(const VmStats &) const = default;
   VmStats operator-(const VmStats &Rhs) const {
     VmStats D;
     D.Executed = Executed - Rhs.Executed;

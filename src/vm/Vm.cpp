@@ -19,6 +19,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 
 using namespace fab;
@@ -250,7 +251,9 @@ Vm::Vm(VmOptions Options) : Opts(Options) {
       Opts.EnableTrace = false;
   Ring.reset(Opts.TraceCapacity);
   Ring.setEnabled(Opts.EnableTrace);
-  Mem.resize(Opts.MemBytes, 0);
+  Mem.reset(static_cast<uint8_t *>(std::calloc(Opts.MemBytes, 1)));
+  if (!Mem)
+    throw std::bad_alloc();
   if (Opts.EnableDecodeCache)
     Quick.assign(QuickSlots, nullptr);
 }
@@ -274,17 +277,24 @@ uint32_t Vm::load32(uint32_t Addr) const {
   return Value;
 }
 
-void Vm::store32(uint32_t Addr, uint32_t Value) {
-  assert(inBounds(Addr) && (Addr & 3) == 0 && "host store out of range");
+bool Vm::store32(uint32_t Addr, uint32_t Value) {
+  assert((Addr & 3) == 0 && "host store misaligned");
+  if (uint64_t{Addr} + 4 > Opts.MemBytes)
+    return false;
   std::memcpy(&Mem[Addr], &Value, 4);
   noteHostWrite(Addr, 4);
+  return true;
 }
 
-void Vm::writeBlock(uint32_t Addr, const uint32_t *Words, size_t Count) {
-  assert(inBounds(Addr + static_cast<uint32_t>(Count * 4) - 4) &&
-         "host block write out of range");
+bool Vm::writeBlock(uint32_t Addr, const uint32_t *Words, size_t Count) {
+  // Addr + 4 * Count <= MemBytes, phrased so that no term can wrap.
+  if (Addr > Opts.MemBytes || Count > (Opts.MemBytes - Addr) / 4)
+    return false;
+  if (Count == 0)
+    return true;
   std::memcpy(&Mem[Addr], Words, Count * 4);
   noteHostWrite(Addr, static_cast<uint32_t>(Count * 4));
+  return true;
 }
 
 void Vm::noteHostWrite(uint32_t Lo, uint32_t Bytes) {
@@ -299,8 +309,13 @@ void Vm::noteHostWrite(uint32_t Lo, uint32_t Bytes) {
       DirtyLines.insert(A / Line);
   }
   // Predecoded blocks under the written range are stale regardless of
-  // which code region they live in.
-  if (!Blocks.empty())
+  // which code region they live in. Blocks never straddle a region
+  // boundary, so a write missing both code regions can only hit a
+  // Region-0 block; while none is cached (heap, static data and memo
+  // tables normally hold no executed code) the write is a plain copy.
+  const bool HitsCode = (Lo < StaticHi && Hi > StaticLo) ||
+                        (Lo < DynHi && Hi > DynLo);
+  if (!Blocks.empty() && (HitsCode || Region0Blocks))
     invalidateRange(Lo, Hi);
 }
 
@@ -343,6 +358,7 @@ void Vm::clearDecodeCache() {
     Retired.push_back(std::move(B));
   Blocks.clear();
   LineOwners.clear();
+  Region0Blocks = 0;
   if (!Quick.empty())
     std::fill(Quick.begin(), Quick.end(), nullptr);
 }
@@ -357,6 +373,8 @@ void Vm::retireBlock(uint32_t EntryPc) {
     Ring.recordMerged(telemetry::EventKind::BlockInvalidate, Stats.Executed,
                       /*Window=*/0, EntryPc, 1);
   Block *B = It->second.get();
+  if (B->Region == 0)
+    --Region0Blocks;
   for (uint32_t L = B->FirstLine; L <= B->LastLine; ++L) {
     auto OIt = LineOwners.find(L);
     if (OIt == LineOwners.end())
@@ -397,14 +415,50 @@ void Vm::invalidateRange(uint32_t Lo, uint32_t Hi) {
       invalidateLineBlocks(static_cast<uint32_t>(L * Line));
     return;
   }
-  // A wide write (e.g. loading a whole image) over a small cache: walk
-  // the cached blocks instead of every line in the range.
-  std::vector<uint32_t> Victims;
-  for (const auto &[Pc, B] : Blocks)
-    if (B->Base < Hi && B->Base + 4 * B->InstCount > Lo)
-      Victims.push_back(Pc);
-  for (uint32_t Pc : Victims)
-    retireBlock(Pc);
+  // A wide range (loading a whole image, resetCodeSpace's sweep of the
+  // dynamic segment) over a smaller cache: one pass over the cached
+  // blocks, then one pass pruning LineOwners, instead of retiring the
+  // victims one by one. Observables match retireBlock's exactly: the
+  // same Invalidations count and, since nothing executes in between, the
+  // same single coalesced trace event (first victim, victim count).
+  uint64_t Dropped = 0;
+  uint32_t FirstPc = 0, LoLine = UINT32_MAX, HiLine = 0;
+  for (auto It = Blocks.begin(); It != Blocks.end();) {
+    Block *B = It->second.get();
+    if (B->Base >= Hi || B->Base + 4 * B->InstCount <= Lo) {
+      ++It;
+      continue;
+    }
+    if (Dropped++ == 0)
+      FirstPc = It->first;
+    LoLine = std::min(LoLine, B->FirstLine);
+    HiLine = std::max(HiLine, B->LastLine);
+    if (B->Region == 0)
+      --Region0Blocks;
+    if (Quick[quickSlot(B->Base)] == B)
+      Quick[quickSlot(B->Base)] = nullptr;
+    // Keep the storage alive until the next dispatch point, as
+    // retireBlock does.
+    Retired.push_back(std::move(It->second));
+    It = Blocks.erase(It);
+  }
+  if (!Dropped)
+    return;
+  for (auto It = LineOwners.begin(); It != LineOwners.end();) {
+    if (It->first < LoLine || It->first > HiLine) {
+      ++It;
+      continue;
+    }
+    // The victims are gone from Blocks; keep the owners still there.
+    auto &Owners = It->second;
+    std::erase_if(Owners, [&](uint32_t Pc) { return !Blocks.count(Pc); });
+    It = Owners.empty() ? LineOwners.erase(It) : std::next(It);
+  }
+  if (Ring.enabled())
+    Ring.recordMerged(telemetry::EventKind::BlockInvalidate, Stats.Executed,
+                      /*Window=*/0, FirstPc, Dropped);
+  ++CacheEpoch; // stale every chained successor pointer
+  CacheStats.Invalidations += Dropped;
 }
 
 void Vm::invalidateDecodeCache(uint32_t Lo, uint32_t Hi) {
@@ -581,6 +635,8 @@ Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
       clearDecodeCache();
     auto Owned = std::make_unique<Block>();
     buildBlock(Pc, *Owned);
+    if (Owned->Region == 0)
+      ++Region0Blocks;
     for (uint32_t L = Owned->FirstLine; L <= Owned->LastLine; ++L)
       LineOwners[L].push_back(Pc);
     ++CacheStats.BlocksBuilt;

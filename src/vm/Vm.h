@@ -29,7 +29,9 @@
 #include "telemetry/TraceRing.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -166,16 +168,21 @@ public:
   /// writes landing in the dynamic code segment mark the touched I-cache
   /// lines dirty (execute-after-write requires a flush), and writes into
   /// either code region drop any cached predecoded blocks they overlap.
-  void store32(uint32_t Addr, uint32_t Value);
-  void writeBlock(uint32_t Addr, const uint32_t *Words, size_t Count);
+  /// Both writers bounds-check in every build type: an extent reaching
+  /// past memBytes() (computed in 64 bits, so it cannot wrap) writes
+  /// nothing and returns false.
+  bool store32(uint32_t Addr, uint32_t Value);
+  bool writeBlock(uint32_t Addr, const uint32_t *Words, size_t Count);
   /// Host-side I-cache invalidation for [Addr, Addr + Len): clears dirty
   /// lines like the guest `flush` service instruction but charges no
   /// simulated cycles (a loader/DMA-style operation, not guest work).
   void flushIcache(uint32_t Addr, uint32_t Len);
-  uint32_t memBytes() const { return static_cast<uint32_t>(Mem.size()); }
+  uint32_t memBytes() const { return Opts.MemBytes; }
   /// Raw memory for snapshot/diff assertions (e.g. proving a faulting
   /// emission left adjacent regions untouched).
-  const std::vector<uint8_t> &memory() const { return Mem; }
+  std::span<const uint8_t> memory() const {
+    return {Mem.get(), Opts.MemBytes};
+  }
 
   // -- Register access ------------------------------------------------------
 
@@ -236,9 +243,9 @@ public:
   std::string disassembleRange(uint32_t Addr, unsigned Count) const;
 
 private:
-  // Mem.size() is word-aligned and nonzero, so the subtraction cannot
+  // MemBytes is word-aligned and nonzero, so the subtraction cannot
   // wrap; the naive `Addr + 3 < size` form wrapped for Addr >= 0xFFFFFFFC.
-  bool inBounds(uint32_t Addr) const { return Addr <= Mem.size() - 4; }
+  bool inBounds(uint32_t Addr) const { return Addr <= Opts.MemBytes - 4; }
   bool inDynRegion(uint32_t Addr) const {
     return Addr >= DynLo && Addr < DynHi;
   }
@@ -313,8 +320,15 @@ private:
     return (Pc >> 2) & (QuickSlots - 1);
   }
 
+  struct FreeDeleter {
+    void operator()(uint8_t *P) const { std::free(P); }
+  };
+
   VmOptions Opts;
-  std::vector<uint8_t> Mem;
+  /// The flat memory image, calloc'd: the kernel maps zero pages on first
+  /// touch, so building a Vm costs nothing per byte and its resident set
+  /// is the pages it has touched (see docs/VM.md, "Memory").
+  std::unique_ptr<uint8_t[], FreeDeleter> Mem;
   uint32_t Regs[32] = {0};
   VmStats Stats;
   uint64_t CoherenceViolations = 0;
@@ -329,6 +343,9 @@ private:
   /// Invalidation index: I-cache line index -> entry PCs of cached blocks
   /// overlapping that line.
   std::unordered_map<uint32_t, std::vector<uint32_t>> LineOwners;
+  /// Cached blocks outside both code regions (Region 0). While zero, a
+  /// host write that misses both code regions cannot hit a cached block.
+  uint32_t Region0Blocks = 0;
   /// Direct-mapped front cache over Blocks (hot dispatch path).
   static constexpr uint32_t QuickSlots = 1u << 13;
   std::vector<Block *> Quick;

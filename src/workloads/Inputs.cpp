@@ -44,8 +44,14 @@ std::vector<int32_t> fab::workloads::referenceMatmul(
       int32_t V = A[static_cast<size_t>(I) * N + K];
       if (V == 0)
         continue;
-      for (uint32_t J = 0; J < N; ++J)
-        C[static_cast<size_t>(I) * N + J] += V * B[static_cast<size_t>(K) * N + J];
+      // Wrap mod 2^32 like the VM's addu/mul, without signed overflow.
+      for (uint32_t J = 0; J < N; ++J) {
+        int32_t &Cij = C[static_cast<size_t>(I) * N + J];
+        Cij = static_cast<int32_t>(
+            static_cast<uint32_t>(Cij) +
+            static_cast<uint32_t>(V) *
+                static_cast<uint32_t>(B[static_cast<size_t>(K) * N + J]));
+      }
     }
   return C;
 }

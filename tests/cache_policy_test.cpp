@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "service/CachePersist.h"
 #include "service/SpecServer.h"
 
 #include "support/Rng.h"
@@ -21,6 +22,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 using namespace fab;
 using namespace fab::service;
@@ -391,6 +393,83 @@ TEST(CachePolicy, WorkerCountMismatchColdStartsGracefully) {
   SO.Pool.Cache.LoadFile = Path;
   SpecServer S(C, SO);
   std::vector<int32_t> Vals = playAll(S, Reqs);
+  TelemetrySnapshot St = S.telemetry();
+  EXPECT_EQ(St.Cache.WarmRestored, 0u);
+  EXPECT_GT(St.Memo.GeneratorRuns, 0u);
+  EXPECT_EQ(St.Errors, 0u);
+  std::remove(Path.c_str());
+}
+
+// A file with a valid fingerprint whose fields do not fit runtime/Layout.h
+// must cold-start, never reach the VM: a dyn-code segment claiming 6 Mi
+// words used to be written 25 MB past the end of the 64 MiB image.
+TEST(CachePolicy, OutOfLayoutCacheFileColdStarts) {
+  Compilation C = compileOrDie(workloads::MatmulSrc, FabiusOptions::deferred());
+  std::vector<VecRequest> Reqs = dotWorkload();
+  std::string Path = testing::TempDir() + "cache_policy_layout.fabc";
+  std::remove(Path.c_str());
+  std::vector<int32_t> ValsA;
+  {
+    ServerOptions SO;
+    SO.Pool.Workers = 1;
+    SO.Pool.Cache.SaveFile = Path;
+    SpecServer S(C, SO);
+    ValsA = playAll(S, Reqs);
+    S.shutdown();
+  }
+  const uint64_t Fp = compilationFingerprint(C);
+  std::optional<CacheFile> Saved = loadCacheFile(Path, Fp);
+  ASSERT_TRUE(Saved);
+  ASSERT_EQ(Saved->Workers.size(), 1u);
+  ASSERT_FALSE(Saved->Workers[0].Intern.empty());
+  ASSERT_FALSE(Saved->Workers[0].Entries.empty());
+
+  // Each mutation alone makes the loader refuse the file.
+  const std::vector<std::pair<const char *, std::function<void(WorkerImage &)>>>
+      Mutations = {
+          {"static data overflows its region",
+           [](WorkerImage &W) {
+             W.StaticData.FullWords =
+                 (layout::StaticDataEnd - layout::StaticDataBase) / 4 + 1;
+           }},
+          {"heap overflows its region",
+           [](WorkerImage &W) {
+             W.Heap.FullWords = (layout::HeapEnd - layout::HeapBase) / 4 + 1;
+           }},
+          {"dyn code overflows its region",
+           [](WorkerImage &W) { W.DynCode.FullWords = 6u << 20; }},
+          {"hp below the heap",
+           [](WorkerImage &W) { W.HpReg = layout::HeapBase - 4; }},
+          {"hp at the heap end",
+           [](WorkerImage &W) { W.HpReg = layout::HeapEnd; }},
+          {"cp below the dyn segment",
+           [](WorkerImage &W) { W.CpReg = layout::DynCodeBase - 4; }},
+          {"cp at the dyn segment end",
+           [](WorkerImage &W) { W.CpReg = layout::DynCodeEnd; }},
+          {"entry at cp",
+           [](WorkerImage &W) { W.Entries[0].Addr = W.CpReg; }},
+          {"entry below the dyn segment",
+           [](WorkerImage &W) { W.Entries[0].Addr = layout::HeapBase; }},
+          {"intern outside the heap",
+           [](WorkerImage &W) { W.Intern[0].Addr = layout::DynCodeBase; }},
+      };
+  for (const auto &[What, Mutate] : Mutations) {
+    CacheFile F = *Saved;
+    Mutate(F.Workers[0]);
+    ASSERT_TRUE(saveCacheFile(Path, F));
+    EXPECT_FALSE(loadCacheFile(Path, Fp)) << What;
+  }
+
+  // The 6 Mi-word dyn-code file through a whole server: a cold start that
+  // serves the same values as the run that saved the original.
+  CacheFile F = *Saved;
+  F.Workers[0].DynCode.FullWords = 6u << 20;
+  ASSERT_TRUE(saveCacheFile(Path, F));
+  ServerOptions SO;
+  SO.Pool.Workers = 1;
+  SO.Pool.Cache.LoadFile = Path;
+  SpecServer S(C, SO);
+  EXPECT_EQ(playAll(S, Reqs), ValsA);
   TelemetrySnapshot St = S.telemetry();
   EXPECT_EQ(St.Cache.WarmRestored, 0u);
   EXPECT_GT(St.Memo.GeneratorRuns, 0u);

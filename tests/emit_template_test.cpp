@@ -9,10 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "workloads/Inputs.h"
-#include "workloads/MlPrograms.h"
-
-#include "bpf/Bpf.h"
+#include "WorkloadDrivers.h"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +17,7 @@
 
 using namespace fab;
 using namespace fab::workloads;
+using namespace fab::test_drivers;
 
 namespace {
 
@@ -69,60 +67,23 @@ expectDynIdentical(const char *Src,
 //===----------------------------------------------------------------------===//
 
 TEST(EmitTemplates, MatmulDynIdentical) {
-  expectDynIdentical(MatmulSrc, [](Machine &M) {
-    uint32_t V1 = M.heap().vector({0, 3, 0, 5, 2, 0, 0, 1});
-    uint32_t V2 = M.heap().vector({9, 2, 7, 4, 1, 1, 8, 3});
-    M.callIntOrDie("dotprod", {V1, V2});
-  });
+  expectDynIdentical(MatmulSrc, driveMatmul);
 }
 
 TEST(EmitTemplates, FMatmulDynIdentical) {
-  expectDynIdentical(FMatmulSrc, [](Machine &M) {
-    const uint32_t N = 4;
-    std::vector<std::vector<float>> A(N, std::vector<float>(N, 0.0f)),
-        B(N, std::vector<float>(N, 1.5f));
-    A[0][1] = 2.0f;
-    A[2][3] = -1.25f;
-    A[3][0] = 0.5f;
-    uint32_t Ar = buildRealRows(M, A);
-    uint32_t Btr = buildRealRows(M, B);
-    uint32_t Cr = buildRealRows(
-        M, std::vector<std::vector<float>>(N, std::vector<float>(N, 0.0f)));
-    M.callIntOrDie("fmatmul", {Ar, Btr, Cr});
-  });
+  expectDynIdentical(FMatmulSrc, driveFMatmul);
 }
 
 TEST(EmitTemplates, PacketFilterDynIdentical) {
-  expectDynIdentical(EvalSrc, [](Machine &M) {
-    bpf::Program F = bpf::telnetFilter();
-    uint32_t Fv = M.heap().vector(F.Words);
-    for (const auto &P : bpf::makeTrace(6, 99)) {
-      uint32_t Pv = M.heap().vector(P);
-      M.callIntOrDie("runfilter", {Fv, Pv});
-    }
-  });
+  expectDynIdentical(EvalSrc, drivePacketFilter);
 }
 
 TEST(EmitTemplates, RegexpDynIdentical) {
-  expectDynIdentical(RegexpSrc, [](Machine &M) {
-    Nfa N = compileRegex(vowelsInOrderPattern());
-    uint32_t Prog = M.heap().vector(N.Prog);
-    for (const char *W : {"facetious", "abstemious", "zzz"}) {
-      uint32_t S = M.heap().string(W);
-      M.callIntOrDie("matches", {Prog, S});
-    }
-  });
+  expectDynIdentical(RegexpSrc, driveRegexp);
 }
 
 TEST(EmitTemplates, AssocDynIdentical) {
-  auto [On, Off] = expectDynIdentical(AssocSrc, [](Machine &M) {
-    std::vector<std::pair<int32_t, int32_t>> Entries;
-    for (int32_t I = 0; I < 64; ++I)
-      Entries.push_back({I * 3 + 1, I * 100});
-    uint32_t L = buildAList(M, Entries);
-    EXPECT_EQ(M.callIntOrDie("lookup", {L, 7}), 200);
-    EXPECT_EQ(M.callIntOrDie("lookup", {L, 999999}), -1);
-  });
+  auto [On, Off] = expectDynIdentical(AssocSrc, driveAssoc);
   // Each entry's compare/return sequence is interleaved with dynamic key
   // and value words, so no run reaches template length here — the engine
   // must stand aside without costing extra executed instructions.
@@ -131,66 +92,25 @@ TEST(EmitTemplates, AssocDynIdentical) {
 }
 
 TEST(EmitTemplates, MemberDynIdentical) {
-  auto [On, Off] = expectDynIdentical(MemberSrc, [](Machine &M) {
-    std::vector<int32_t> Elems;
-    for (int32_t I = 0; I < 64; ++I)
-      Elems.push_back(I * 7);
-    uint32_t S = buildISet(M, Elems);
-    EXPECT_EQ(M.callIntOrDie("member", {S, 7 * 13}), 1);
-    EXPECT_EQ(M.callIntOrDie("member", {S, 5}), 0);
-  });
+  auto [On, Off] = expectDynIdentical(MemberSrc, driveMember);
   EXPECT_GT(On.TemplateWords, 0u);
   EXPECT_LT(On.Executed, Off.Executed);
 }
 
 TEST(EmitTemplates, LifeDynIdentical) {
-  expectDynIdentical(LifeSrc, [](Machine &M) {
-    uint32_t W = 0, H = 0;
-    std::vector<int32_t> Cells = gliderGunCells(1, W, H);
-    uint32_t S = buildISet(M, Cells);
-    M.callIntOrDie("life", {S, 2, W * H, W});
-  });
+  expectDynIdentical(LifeSrc, driveLife);
 }
 
 TEST(EmitTemplates, IsortDynIdentical) {
-  expectDynIdentical(IsortSrc, [](Machine &M) {
-    auto Words = wordList(12, 3);
-    uint32_t Arr = buildStringArray(M, Words);
-    M.callIntOrDie("sortall", {Arr});
-  });
+  expectDynIdentical(IsortSrc, driveIsort);
 }
 
 TEST(EmitTemplates, CgDynIdentical) {
-  expectDynIdentical(CgSrc, [](Machine &M) {
-    const uint32_t N = 8, Iters = 4;
-    Rng R(3);
-    std::vector<std::vector<float>> A;
-    std::vector<float> B;
-    tridiagonalSystem(N, R, A, B);
-    std::vector<std::vector<int32_t>> IdxRows;
-    std::vector<std::vector<float>> ValRows;
-    sparseFromDense(A, IdxRows, ValRows);
-    uint32_t Ai = buildIntRowsV(M, IdxRows);
-    uint32_t Av = buildRealRows(M, ValRows);
-    uint32_t Bv = M.heap().vectorF(B);
-    auto ZeroVec = [&] {
-      return M.heap().vectorF(std::vector<float>(N, 0.0f));
-    };
-    uint32_t X = ZeroVec(), Rv = ZeroVec(), P = ZeroVec(), Ap = ZeroVec();
-    ASSERT_TRUE(M.call("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters}).ok());
-  });
+  expectDynIdentical(CgSrc, driveCg);
 }
 
 TEST(EmitTemplates, PseudoknotDynIdentical) {
-  expectDynIdentical(PseudoknotSrc, [](Machine &M) {
-    const uint32_t Levels = 16;
-    Rng R(17);
-    std::vector<int32_t> Chk = constraintTable(Levels, 0.1, R);
-    uint32_t ChkV = M.heap().vector(Chk);
-    uint32_t Vals =
-        M.heap().vector({1, 5, 3, 9, 2, 8, 0, 4, 6, 7, 11, 13, 2, 5, 1, 3});
-    M.callIntOrDie("pkrun", {ChkV, Vals, Levels});
-  });
+  expectDynIdentical(PseudoknotSrc, drivePseudoknot);
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 using namespace fab;
 
@@ -334,7 +335,8 @@ TEST(CodeSpaceHardBound, EmissionAtBoundaryFaultsWithoutCorruption) {
   A.finalize();
   M.writeBlock(A.baseAddr(), A.code().data(), A.code().size());
 
-  std::vector<uint8_t> Before = M.memory();
+  const std::span<const uint8_t> Mem = M.memory();
+  const std::vector<uint8_t> Before(Mem.begin(), Mem.end());
   ExecResult R = M.run(A.baseAddr());
 
   ASSERT_EQ(R.Reason, StopReason::Trapped);
@@ -347,7 +349,8 @@ TEST(CodeSpaceHardBound, EmissionAtBoundaryFaultsWithoutCorruption) {
   EXPECT_EQ(M.load32(layout::DynCodeEnd - 4), 0x2BADC0DEu);
   // ... and every byte outside [DynCodeBase, DynCodeEnd) is untouched:
   // the fault fires before the write.
-  const std::vector<uint8_t> &After = M.memory();
+  const std::span<const uint8_t> After = M.memory();
+  ASSERT_EQ(After.size(), Before.size());
   EXPECT_TRUE(std::equal(Before.begin(), Before.begin() + layout::DynCodeBase,
                          After.begin()));
   EXPECT_TRUE(std::equal(Before.begin() + layout::DynCodeEnd, Before.end(),
@@ -368,12 +371,13 @@ TEST(CodeSpaceHardBound, MisSeatedCodePointerCannotWriteTheHeap) {
   A.finalize();
   M.writeBlock(A.baseAddr(), A.code().data(), A.code().size());
 
-  std::vector<uint8_t> Before = M.memory();
+  const std::span<const uint8_t> Mem = M.memory();
+  const std::vector<uint8_t> Before(Mem.begin(), Mem.end());
   ExecResult R = M.run(A.baseAddr());
   ASSERT_EQ(R.Reason, StopReason::Trapped);
   EXPECT_EQ(R.FaultKind, Fault::CodeSpaceExhausted);
   EXPECT_EQ(M.load32(layout::HeapBase), 0x5EED5EEDu);
-  EXPECT_EQ(Before, M.memory());
+  EXPECT_TRUE(std::ranges::equal(Before, M.memory()));
 }
 
 TEST(CodeSpaceHardBound, OrdinaryStoresOutsideDynRegionStillWork) {

@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 using namespace fab;
 
 namespace {
@@ -409,6 +412,62 @@ TEST(HostWriteCoherence, StaticCodeLoadBeforeRegionsIsClean) {
   EXPECT_EQ(M.coherenceViolations(), 0u);
 }
 
+// Host writes that miss both code regions skip decode-cache invalidation
+// only while no block is cached outside them; code run from the heap
+// makes the Region-0 count nonzero, so a heap store must still retire it.
+TEST(HostWriteCoherence, Store32IntoHeapRetiresBlockCachedAtHeapPc) {
+  Vm M;
+  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                   layout::DynCodeBase, layout::DynCodeEnd);
+  const uint32_t Body[2] = {encodeI(Opcode::Addiu, V0, Zero, 7),
+                            encodeExt(ExtFn::Halt)};
+  ASSERT_TRUE(M.writeBlock(layout::HeapBase, Body, 2));
+  ASSERT_EQ(static_cast<int32_t>(M.run(layout::HeapBase).V0), 7);
+
+  const uint64_t InvalBefore = M.decodeCacheStats().Invalidations;
+  ASSERT_TRUE(
+      M.store32(layout::HeapBase, encodeI(Opcode::Addiu, V0, Zero, 8)));
+  if (M.decodeCacheEnabled()) {
+    EXPECT_EQ(M.decodeCacheStats().Invalidations, InvalBefore + 1);
+  }
+  ExecResult R = M.run(layout::HeapBase);
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_EQ(static_cast<int32_t>(R.V0), 8);
+}
+
+// A wide invalidation takes the one-pass sweep. A block that shares an
+// I-cache line with a victim but lies outside the range must survive it
+// and stay indexed, so a later store to it still retires it.
+TEST(HostWriteCoherence, WideInvalidationKeepsLineNeighbourIndexed) {
+  Vm M;
+  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                   layout::DynCodeBase, layout::DynCodeEnd);
+  const uint32_t Base = layout::StaticCodeBase;
+  // Two blocks in one 16-byte line: [Base, Base+8) jumps to [Base+8, ...).
+  const uint32_t Code[4] = {
+      encodeI(Opcode::Addiu, T0, Zero, 1),
+      encodeJ(Opcode::J, Base + 8),
+      encodeI(Opcode::Addiu, V0, T0, 10),
+      encodeExt(ExtFn::Halt),
+  };
+  ASSERT_TRUE(M.writeBlock(Base, Code, 4));
+  ASSERT_EQ(static_cast<int32_t>(M.run(Base).V0), 11);
+
+  const uint64_t InvalBefore = M.decodeCacheStats().Invalidations;
+  M.invalidateDecodeCache(0, Base + 8); // first block only, hundreds of lines
+  if (M.decodeCacheEnabled()) {
+    EXPECT_EQ(M.decodeCacheStats().Invalidations, InvalBefore + 1);
+  }
+
+  ASSERT_TRUE(M.store32(Base + 8, encodeI(Opcode::Addiu, V0, T0, 20)));
+  if (M.decodeCacheEnabled()) {
+    EXPECT_EQ(M.decodeCacheStats().Invalidations, InvalBefore + 2);
+  }
+  ExecResult R = M.run(Base);
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_EQ(static_cast<int32_t>(R.V0), 21);
+}
+
 //===----------------------------------------------------------------------===//
 // Decode-cache statistics and Machine integration
 //===----------------------------------------------------------------------===//
@@ -506,4 +565,40 @@ TEST(MachineIntegration, ResetCodeSpaceInvalidatesCachedBlocks) {
   }
   // Respecialization after reset still computes the right answer.
   EXPECT_EQ(runDotprod(M), 130);
+}
+
+TEST(MachineIntegration, FreshMachineIsZeroOutsideCodeAndTemplates) {
+  const char *Src =
+      "datatype iset = SNil | SCons of int * iset\n"
+      "fun member (s : iset) (x : int) =\n"
+      "  case s of SNil => 0\n"
+      "  | SCons (e, rest) => if x = e then 1 else member rest x";
+  FabiusOptions Opts = FabiusOptions::deferred();
+  Opts.Backend.EmitTemplates = true;
+  Compilation C = compileOrDie(Src, Opts);
+  ASSERT_FALSE(C.Unit.TemplateData.empty());
+  Machine M(C);
+
+  // The words the constructor loads, as [Base, Base + 4 * size) ranges.
+  std::vector<std::pair<uint32_t, const std::vector<uint32_t> *>> Loaded = {
+      {C.Unit.CodeBase, &C.Unit.Code},
+      {C.Unit.TemplateBase, &C.Unit.TemplateData}};
+  if (C.PlainUnit)
+    Loaded.push_back({C.PlainUnit->CodeBase, &C.PlainUnit->Code});
+  std::sort(Loaded.begin(), Loaded.end());
+
+  const std::span<const uint8_t> Mem = M.vm().memory();
+  ASSERT_EQ(Mem.size(), M.vm().memBytes());
+  auto Zero = [](uint8_t B) { return B == 0; };
+  size_t Next = 0;
+  for (const auto &[Base, Words] : Loaded) {
+    ASSERT_LE(Next, Base) << "loaded ranges overlap";
+    EXPECT_TRUE(std::all_of(Mem.begin() + Next, Mem.begin() + Base, Zero))
+        << "nonzero byte below " << Base;
+    for (size_t I = 0; I < Words->size(); ++I)
+      ASSERT_EQ(M.vm().load32(Base + 4 * static_cast<uint32_t>(I)),
+                (*Words)[I]);
+    Next = Base + 4 * Words->size();
+  }
+  EXPECT_TRUE(std::all_of(Mem.begin() + Next, Mem.end(), Zero));
 }

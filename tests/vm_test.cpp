@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <span>
 
 using namespace fab;
 
@@ -402,4 +405,55 @@ TEST(HeapImageTest, StringIsCharCodeVector) {
   HeapImage H(M);
   uint32_t S = H.string("ab");
   EXPECT_EQ(H.readVector(S), (std::vector<int32_t>{'a', 'b'}));
+}
+
+//===----------------------------------------------------------------------===//
+// Host memory access
+//===----------------------------------------------------------------------===//
+
+TEST(VmHostAccess, MemoryIsZeroAndSizedAtConstruction) {
+  VmOptions VO;
+  VO.MemBytes = 1u << 16;
+  Vm M(VO);
+  EXPECT_EQ(M.memBytes(), VO.MemBytes);
+  const std::span<const uint8_t> Mem = M.memory();
+  ASSERT_EQ(Mem.size(), VO.MemBytes);
+  EXPECT_TRUE(std::all_of(Mem.begin(), Mem.end(),
+                          [](uint8_t B) { return B == 0; }));
+  ASSERT_TRUE(M.store32(8, 0x01020304u));
+  EXPECT_EQ(M.memory()[8], 0x04); // little-endian, a live view
+  EXPECT_EQ(M.load32(8), 0x01020304u);
+}
+
+// Host writers bound-check in every build type (this test runs in
+// Release too): an extent past the end, or one whose 32-bit arithmetic
+// would wrap, writes nothing and reports false.
+TEST(VmHostAccess, OutOfRangeWritesReturnFalseAndWriteNothing) {
+  VmOptions VO;
+  VO.MemBytes = 1u << 16;
+  Vm M(VO);
+  const uint32_t End = M.memBytes();
+  const uint32_t Words[4] = {0xAAAAAAAAu, 0xBBBBBBBBu, 0xCCCCCCCCu,
+                             0xDDDDDDDDu};
+
+  // Extents that end exactly at the end of memory are fine.
+  EXPECT_TRUE(M.store32(End - 4, 0x11111111u));
+  EXPECT_TRUE(M.writeBlock(End - 8, Words, 2));
+  EXPECT_TRUE(M.writeBlock(End, Words, 0));
+  EXPECT_EQ(M.load32(End - 4), 0xBBBBBBBBu);
+
+  const std::span<const uint8_t> Mem = M.memory();
+  const std::vector<uint8_t> Before(Mem.begin(), Mem.end());
+  // One word past the end.
+  EXPECT_FALSE(M.store32(End, 1));
+  EXPECT_FALSE(M.writeBlock(End - 4, Words, 2));
+  EXPECT_FALSE(M.writeBlock(End + 4, Words, 0));
+  // Address arithmetic that wraps in 32 bits.
+  EXPECT_FALSE(M.store32(0xFFFFFFFCu, 1));
+  EXPECT_FALSE(M.writeBlock(0xFFFFFFF8u, Words, 4));
+  // Byte counts that wrap: Count * 4 == 2^32 (0 in 32 bits), and a count
+  // whose byte size wraps even in 64 bits. Neither may read Words.
+  EXPECT_FALSE(M.writeBlock(4, Words, size_t{1} << 30));
+  EXPECT_FALSE(M.writeBlock(4, Words, SIZE_MAX / 4 + 2));
+  EXPECT_TRUE(std::ranges::equal(Before, M.memory()));
 }
