@@ -406,6 +406,11 @@ struct EquivCase {
   std::vector<uint32_t> ScalarArgs; ///< appended after vector handles
 };
 
+// Print a case by its name. gtest's default dumps the struct's raw bytes,
+// pointers included, so the listed test names would change with every
+// address-space layout.
+void PrintTo(const EquivCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class DeferredEquivalence : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(DeferredEquivalence, MatchesPlainMode) {
