@@ -183,9 +183,9 @@ inline double ratio(uint64_t A, uint64_t B) {
 /// Measures the simulated cycles consumed by \p Fn on machine \p M.
 template <typename Callable>
 uint64_t measureCycles(Machine &M, Callable &&Fn) {
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   Fn();
-  return (M.stats() - Before).Cycles;
+  return (M.vm().stats() - Before).Cycles;
 }
 
 } // namespace bench

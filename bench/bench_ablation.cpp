@@ -38,7 +38,6 @@ const Config Configs[] = {
     {"-coalesce-cp", [](BackendOptions &O) { O.CoalesceCpUpdates = false; }},
     {"-align", [](BackendOptions &O) { O.AlignSpecializations = false; }},
     {"-memo", [](BackendOptions &O) { O.Memoization = false; }},
-    {"+thread-jumps", [](BackendOptions &O) { O.ThreadJumps = true; }},
 };
 
 void dotprodAblation() {
@@ -58,12 +57,12 @@ void dotprodAblation() {
     Machine M(Comp.Unit);
     uint32_t V1 = M.heap().vector(Row);
     uint32_t V2 = M.heap().vector(Col);
-    VmStats B0 = M.stats();
+    VmStats B0 = M.vm().stats();
     uint32_t Spec = M.specializeOrDie("dotloop", {V1, 0, 64});
-    VmStats Gen = M.stats() - B0;
-    VmStats B1 = M.stats();
-    M.callAtIntOrDie(Spec, {V2, 0});
-    VmStats Exec = M.stats() - B1;
+    VmStats Gen = M.vm().stats() - B0;
+    VmStats B1 = M.vm().stats();
+    M.invokeOrDie<int32_t>(Spec, {V2, 0});
+    VmStats Exec = M.vm().stats() - B1;
     std::printf("%-14s  %13.2f  %10llu  %12llu\n", C.Name,
                 ratio(Gen.Executed, Gen.DynWordsWritten),
                 static_cast<unsigned long long>(Gen.DynWordsWritten),
@@ -89,7 +88,8 @@ void packetFilterAblation() {
     uint64_t Total = 0;
     for (const auto &P : Trace) {
       uint32_t Pv = M.heap().vector(P);
-      Total += measureCycles(M, [&] { M.callIntOrDie("runfilter", {Fv, Pv}); });
+      Total += measureCycles(
+          M, [&] { M.invokeOrDie<int32_t>("runfilter", {Fv, Pv}); });
     }
     std::printf("%-14s  %16llu\n", C.Name,
                 static_cast<unsigned long long>(Total));

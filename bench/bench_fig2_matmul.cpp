@@ -43,9 +43,9 @@ uint64_t mlMatmulCycles(const Compilation &C, const MatmulInputs &In,
   uint32_t Ar = buildIntRows(M, In.A, N);
   uint32_t Bt = buildIntRows(M, In.Bt, N);
   uint32_t Cr = buildZeroIntRows(M, N);
-  VmStats Before = M.stats();
-  M.callIntOrDie("matmul", {Ar, Bt, Cr});
-  VmStats D = M.stats() - Before;
+  VmStats Before = M.vm().stats();
+  M.invokeOrDie<int32_t>("matmul", {Ar, Bt, Cr});
+  VmStats D = M.vm().stats() - Before;
   if (GenInstrs)
     *GenInstrs = D.Executed;
   if (GenWords)
@@ -147,9 +147,9 @@ int main() {
     MatmulInputs In = makeInputs(200, 0.0, 999);
     uint32_t Ar = buildIntRows(M, In.A, 200);
     uint32_t Row0 = M.vm().load32(Ar + 4);
-    VmStats Before = M.stats();
+    VmStats Before = M.vm().stats();
     ExecResult R = M.vm().call(Def.Unit.genAddr("dotloop"), {Row0, 0, 200});
-    VmStats D = M.stats() - Before;
+    VmStats D = M.vm().stats() - Before;
     std::printf("\nDot-product generator at n=200: %.2f instructions "
                 "executed per instruction generated (paper 4.7)\n",
                 ratio(D.Executed, D.DynWordsWritten));

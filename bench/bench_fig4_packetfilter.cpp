@@ -51,9 +51,9 @@ int main() {
   int Accepted = 0;
 
   for (size_t I = 0; I < NumPackets; ++I) {
-    VmStats B0 = M.stats();
-    int32_t RFab = M.callIntOrDie("runfilter", {Fv, Pkts[I]});
-    VmStats DF = M.stats() - B0;
+    VmStats B0 = M.vm().stats();
+    int32_t RFab = M.invokeOrDie<int32_t>("runfilter", {Fv, Pkts[I]});
+    VmStats DF = M.vm().stats() - B0;
     FabCum[I + 1] = FabCum[I] + DF.Cycles;
     if (I == 0) {
       GenWords = DF.DynWordsWritten;
@@ -92,7 +92,7 @@ int main() {
               100.0 * (1.0 - ratio(FabCum[NumPackets], BpfCum[NumPackets])));
   std::printf("Instructions generated: %llu (paper 85)\n",
               static_cast<unsigned long long>(
-                  M.stats().DynWordsWritten));
+                  M.vm().stats().DynWordsWritten));
   std::printf("First-packet cost (specialization + first run): %.3f ms "
               "(paper: codegen alone 1.3 ms)\n",
               static_cast<double>(GenCost) / CyclesPerMs);

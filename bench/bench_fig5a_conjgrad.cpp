@@ -35,11 +35,7 @@ uint64_t cgCycles(const Compilation &C, uint32_t N, uint32_t Iters) {
   uint32_t X = M.heap().vectorF(Zero), Rv = M.heap().vectorF(Zero);
   uint32_t P = M.heap().vectorF(Zero), Ap = M.heap().vectorF(Zero);
   return measureCycles(M, [&] {
-    ExecResult Res = M.call("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters});
-    if (!Res.ok()) {
-      std::printf("cg failed: %s\n", Res.describe().c_str());
-      std::abort();
-    }
+    M.invokeOrDie<float>("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters});
   });
 }
 

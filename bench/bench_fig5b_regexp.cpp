@@ -35,7 +35,7 @@ int main() {
     for (const std::string &W : Words) {
       uint32_t S = M.heap().string(W);
       uint64_t Cyc = measureCycles(M, [&] {
-        Hits += M.callIntOrDie("matches", {Prog, S});
+        Hits += M.invokeOrDie<int32_t>("matches", {Prog, S});
       });
       Cum.push_back(Cum.back() + Cyc);
     }

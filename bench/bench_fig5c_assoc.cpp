@@ -41,7 +41,7 @@ int main() {
     std::vector<uint64_t> Cum = {0};
     for (int32_t Q : Queries) {
       uint64_t Cyc = measureCycles(M, [&] {
-        Sum += M.callIntOrDie("lookup", {L, static_cast<uint32_t>(Q)});
+        Sum += M.invokeOrDie<int32_t>("lookup", {L, static_cast<uint32_t>(Q)});
       });
       Cum.push_back(Cum.back() + Cyc);
     }

@@ -37,7 +37,7 @@ int main() {
     std::vector<uint64_t> Cum = {0};
     for (int32_t Q : Queries) {
       uint64_t Cyc = measureCycles(M, [&] {
-        Sum += M.callIntOrDie("member", {S, static_cast<uint32_t>(Q)});
+        Sum += M.invokeOrDie<int32_t>("member", {S, static_cast<uint32_t>(Q)});
       });
       Cum.push_back(Cum.back() + Cyc);
     }

@@ -32,8 +32,8 @@ int main() {
     Machine M(C.Unit, VOpts);
     uint32_t S = buildISet(M, Cells);
     return measureCycles(M, [&] {
-      Pop = M.callIntOrDie("life",
-                      {S, static_cast<uint32_t>(Generations), W * H, W});
+      Pop = M.invokeOrDie<int32_t>(
+          "life", {S, static_cast<uint32_t>(Generations), W * H, W});
     });
   };
 

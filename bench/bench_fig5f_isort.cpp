@@ -29,7 +29,8 @@ int main() {
     std::sort(Words.begin(), Words.end(), std::greater<std::string>());
     Machine M(C.Unit);
     uint32_t Arr = buildStringArray(M, Words);
-    uint64_t Cyc = measureCycles(M, [&] { M.callIntOrDie("sortall", {Arr}); });
+    uint64_t Cyc =
+        measureCycles(M, [&] { M.invokeOrDie<int32_t>("sortall", {Arr}); });
     // Verify sortedness.
     auto Sorted = readStringArray(M, Arr);
     if (!std::is_sorted(Sorted.begin(), Sorted.end())) {

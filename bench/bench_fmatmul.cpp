@@ -33,7 +33,8 @@ uint64_t run(const Compilation &C, uint32_t N, double ZeroFraction,
   uint32_t Btr = buildRealRows(M, Bt);
   uint32_t Cr = buildRealRows(
       M, std::vector<std::vector<float>>(N, std::vector<float>(N, 0.0f)));
-  return measureCycles(M, [&] { M.callIntOrDie("fmatmul", {Ar, Btr, Cr}); });
+  return measureCycles(
+      M, [&] { M.invokeOrDie<int32_t>("fmatmul", {Ar, Btr, Cr}); });
 }
 
 } // namespace

@@ -28,9 +28,9 @@ void dispatchLoop(benchmark::State &State, const VmOptions &VmOpts) {
   Machine M(C.Unit, VmOpts);
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    VmStats Before = M.stats();
-    benchmark::DoNotOptimize(M.callIntOrDie("loop", {0, 100000, 0}));
-    Instrs += (M.stats() - Before).Executed;
+    VmStats Before = M.vm().stats();
+    benchmark::DoNotOptimize(M.invokeOrDie<int32_t>("loop", {0, 100000, 0}));
+    Instrs += (M.vm().stats() - Before).Executed;
   }
   State.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(Instrs), benchmark::Counter::kIsRate);

@@ -46,7 +46,7 @@ int main() {
       ValVs.push_back(M.heap().vector(V));
     return measureCycles(M, [&] {
       for (uint32_t VV : ValVs)
-        Accepted += M.callIntOrDie("pkrun", {ChkV, VV, Levels});
+        Accepted += M.invokeOrDie<int32_t>("pkrun", {ChkV, VV, Levels});
     });
   };
 

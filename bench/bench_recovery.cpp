@@ -42,7 +42,7 @@ Phases measure(const Compilation &C, uint32_t N) {
   Phases P;
   // Generation phase alone: run the row generator on every row of A.
   {
-    VmStats Before = M.stats();
+    VmStats Before = M.vm().stats();
     for (uint32_t I = 0; I < N; ++I) {
       uint32_t Row = M.vm().load32(Ar + 4 * (I + 1));
       ExecResult R2 = M.vm().call(C.Unit.genAddr("dotloop"), {Row, 0, N});
@@ -51,7 +51,7 @@ Phases measure(const Compilation &C, uint32_t N) {
         std::exit(1);
       }
     }
-    P.Generation = (M.stats() - Before).Cycles;
+    P.Generation = (M.vm().stats() - Before).Cycles;
   }
   // End to end on a fresh machine (so generation is not pre-memoized).
   {
@@ -60,7 +60,7 @@ Phases measure(const Compilation &C, uint32_t N) {
     uint32_t Btr2 = buildIntRows(M2, Bt, N);
     uint32_t Cr2 = buildZeroIntRows(M2, N);
     P.EndToEnd = measureCycles(
-        M2, [&] { M2.callIntOrDie("matmul", {Ar2, Btr2, Cr2}); });
+        M2, [&] { M2.invokeOrDie<int32_t>("matmul", {Ar2, Btr2, Cr2}); });
     (void)Btr;
     (void)Cr;
   }
@@ -120,7 +120,7 @@ int main() {
     Rng R(99);
     std::vector<int32_t> A = randomMatrixFlat(N, 0.0, R);
     uint32_t Ar = buildIntRows(M, A, N);
-    VmStats Before = M.stats();
+    VmStats Before = M.vm().stats();
     uint64_t ResetsBefore = M.telemetry().Recovery.FaultResets;
     uint32_t Rows = 0;
     // Specialize rows until at least one transparent reset has happened.
@@ -129,7 +129,7 @@ int main() {
       M.specializeOrDie("dotloop", {Row, 0, N});
       ++Rows;
     }
-    uint64_t Cycles = (M.stats() - Before).Cycles;
+    uint64_t Cycles = (M.vm().stats() - Before).Cycles;
     std::printf("\nRecovery drill: %u row specializations against a 256 KB "
                 "segment\n", Rows);
     std::printf("  transparent resets: %llu, total cycles: %llu\n",
@@ -137,16 +137,16 @@ int main() {
                                                 ResetsBefore),
                 static_cast<unsigned long long>(Cycles));
     // Latency of the single recovered retry: re-specializing one row.
-    VmStats B2 = M.stats();
+    VmStats B2 = M.vm().stats();
     std::vector<int32_t> Fresh(N, 3);
     Machine M2(C.Unit); // pristine: one row costs this much cold
     uint32_t Fr = M2.heap().vector(Fresh);
     M2.specializeOrDie("dotloop", {Fr, 0, N});
     (void)B2;
     std::printf("  one-row regeneration (the retry cost): %llu cycles\n",
-                static_cast<unsigned long long>(M2.stats().Cycles));
+                static_cast<unsigned long long>(M2.vm().stats().Cycles));
     reportMetric("one_row_regeneration_cycles",
-                 static_cast<double>(M2.stats().Cycles), "cycles");
+                 static_cast<double>(M2.vm().stats().Cycles), "cycles");
   }
   writeBenchJson("recovery");
   return 0;

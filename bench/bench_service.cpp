@@ -141,7 +141,7 @@ int main() {
         Late.push_back(V.K == Value::Kind::Int ? static_cast<uint32_t>(V.I)
                                                : M.heap().vector(V.Vec));
       uint32_t A = M.specializeOrDie(Q.Fn, Early);
-      Expected.push_back(M.callAtIntOrDie(A, Late));
+      Expected.push_back(M.invokeOrDie<int32_t>(A, Late));
     }
   }
 

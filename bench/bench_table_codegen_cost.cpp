@@ -43,9 +43,9 @@ Row specializeRow(const char *Name, const char *Src,
   Compilation C = compileOrDie(Src, Opts);
   Machine M(C.Unit);
   std::vector<uint32_t> A = Args(M);
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   M.specializeOrDie(GenFn, A);
-  VmStats D = M.stats() - Before;
+  VmStats D = M.vm().stats() - Before;
   return {Name, ratio(D.Executed, D.DynWordsWritten), D.DynWordsWritten};
 }
 
@@ -58,12 +58,12 @@ Row firstRunRow(const char *Name, const char *Src, const std::string &Fn,
   Compilation C = compileOrDie(Src, Opts);
   Machine M(C.Unit);
   std::vector<uint32_t> A = Args(M);
-  VmStats B0 = M.stats();
-  M.callIntOrDie(Fn, A);
-  VmStats First = M.stats() - B0;
-  VmStats B1 = M.stats();
-  M.callIntOrDie(Fn, A);
-  VmStats Second = M.stats() - B1;
+  VmStats B0 = M.vm().stats();
+  M.invokeOrDie<int32_t>(Fn, A);
+  VmStats First = M.vm().stats() - B0;
+  VmStats B1 = M.vm().stats();
+  M.invokeOrDie<int32_t>(Fn, A);
+  VmStats Second = M.vm().stats() - B1;
   uint64_t GenInstrs = First.Executed - Second.Executed;
   return {Name, ratio(GenInstrs, First.DynWordsWritten),
           First.DynWordsWritten};

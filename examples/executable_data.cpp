@@ -29,9 +29,9 @@ int main() {
       {1, 100}, {2, 200}, {3, 300}};
   uint32_t L = buildAList(M, Entries);
 
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   uint32_t Spec = M.specializeOrDie("lookup", {L});
-  VmStats Gen = M.stats() - Before;
+  VmStats Gen = M.vm().stats() - Before;
 
   std::printf("association list [(1,100), (2,200), (3,300)] compiled to an "
               "executable data structure\n(compare the paper's Figure 6):\n"
@@ -42,9 +42,9 @@ int main() {
                   .c_str());
 
   for (int32_t Key : {1, 2, 3, 7}) {
-    VmStats B = M.stats();
-    int32_t V = M.callAtIntOrDie(Spec, {static_cast<uint32_t>(Key)});
-    VmStats D = M.stats() - B;
+    VmStats B = M.vm().stats();
+    int32_t V = M.invokeOrDie<int32_t>(Spec, {static_cast<uint32_t>(Key)});
+    VmStats D = M.vm().stats() - B;
     std::printf("lookup %d = %4d   (%llu instructions, %llu memory loads)\n",
                 Key, V, static_cast<unsigned long long>(D.Executed),
                 static_cast<unsigned long long>(D.Loads));

@@ -51,18 +51,18 @@ int main(int Argc, char **Argv) {
 
     if (G == Generations)
       break;
-    VmStats Before = M.stats();
-    ExecResult R = M.call("step", {Set, 0, W * H, W, Nil});
-    if (!R.ok()) {
-      std::printf("step failed: %s\n", R.describe().c_str());
+    VmStats Before = M.vm().stats();
+    FabResult<uint32_t> R = M.invoke<uint32_t>("step", {Set, 0, W * H, W, Nil});
+    if (!R) {
+      std::printf("step failed: %s\n", R.error().message().c_str());
       return 1;
     }
-    VmStats D = M.stats() - Before;
+    VmStats D = M.vm().stats() - Before;
     std::printf("  (step: %llu cycles, %llu instructions generated for "
                 "this generation's membership test)\n\n",
                 static_cast<unsigned long long>(D.Cycles),
                 static_cast<unsigned long long>(D.DynWordsWritten));
-    Set = R.V0;
+    Set = *R;
   }
   return 0;
 }

@@ -34,9 +34,9 @@ int main() {
 
   // First packet triggers specialization of the interpreter to the filter.
   uint32_t P0 = M.heap().vector(Trace[0]);
-  VmStats Before = M.stats();
-  M.callIntOrDie("runfilter", {Fv, P0});
-  VmStats First = M.stats() - Before;
+  VmStats Before = M.vm().stats();
+  M.invokeOrDie<int32_t>("runfilter", {Fv, P0});
+  VmStats First = M.vm().stats() - Before;
   std::printf("first packet compiled the filter: %llu instructions "
               "generated (paper: 85)\n\n",
               static_cast<unsigned long long>(First.DynWordsWritten));
@@ -48,9 +48,9 @@ int main() {
   uint64_t FabCycles = First.Cycles, BpfCycles = 0;
   for (size_t I = 1; I < Trace.size(); ++I) {
     uint32_t Pv = M.heap().vector(Trace[I]);
-    VmStats B = M.stats();
-    int32_t R = M.callIntOrDie("runfilter", {Fv, Pv});
-    FabCycles += (M.stats() - B).Cycles;
+    VmStats B = M.vm().stats();
+    int32_t R = M.invokeOrDie<int32_t>("runfilter", {Fv, Pv});
+    FabCycles += (M.vm().stats() - B).Cycles;
 
     VmStats BB = S.vm().stats();
     int32_t RB = S.runBpf(FvB, S.mlVector(Trace[I]));

@@ -32,9 +32,9 @@ int main() {
 
   // Run the generating extension: it executes the early computations and
   // emits specialized native code for the late ones.
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   uint32_t Spec = M.specializeOrDie("loop", {V1, 0, 3});
-  VmStats Gen = M.stats() - Before;
+  VmStats Gen = M.vm().stats() - Before;
 
   std::printf("specialized `loop` for v1 = [1, 2, 3] at 0x%08x\n", Spec);
   std::printf("generated %llu instructions, executing %llu generator "
@@ -57,7 +57,7 @@ int main() {
                       std::vector<int32_t>{1, 1, 1},
                       std::vector<int32_t>{-2, 0, 9}}) {
     uint32_t V2 = M.heap().vector(V2Vals);
-    int32_t Dot = M.callAtIntOrDie(Spec, {V2, 0});
+    int32_t Dot = M.invokeOrDie<int32_t>(Spec, {V2, 0});
     std::printf("dot([1,2,3], [%d,%d,%d]) = %d\n", V2Vals[0], V2Vals[1],
                 V2Vals[2], Dot);
   }

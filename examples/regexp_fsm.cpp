@@ -37,7 +37,7 @@ int main(int Argc, char **Argv) {
   uint64_t GenAfterFirst = 0;
   for (size_t I = 0; I < Words.size(); ++I) {
     uint32_t S = M.heap().string(Words[I]);
-    int32_t R = M.callIntOrDie("matches", {Prog, S});
+    int32_t R = M.invokeOrDie<int32_t>("matches", {Prog, S});
     if (R == 1) {
       if (Matches < 8)
         std::printf("  match: %s\n", Words[I].c_str());

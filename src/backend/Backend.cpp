@@ -1054,13 +1054,9 @@ bool fab::compileProgram(const ml::Program &P, const BackendOptions &Opts,
   BackendOptions EffOpts = Opts;
   // Process-wide escape hatch mirroring FAB_DECODE_CACHE / FAB_TRACE:
   // force word-by-word li/sw emission without touching every construction
-  // site. FAB_TEMPLATES is the canonical name (matching the --no-templates
-  // flag and the FAB_<FEATURE> convention in docs/INTERNALS.md);
-  // FAB_EMIT_TEMPLATES is kept as a documented legacy alias.
-  for (const char *Var : {"FAB_TEMPLATES", "FAB_EMIT_TEMPLATES"})
-    if (const char *E = std::getenv(Var))
-      if (E[0] == '0' && E[1] == '\0')
-        EffOpts.EmitTemplates = false;
+  // site (the --no-templates flag's env counterpart).
+  if (const char *E = std::getenv("FAB_TEMPLATES"); E && E[0] == '0' && !E[1])
+    EffOpts.EmitTemplates = false;
   ModuleContext M(P, EffOpts, Diags);
 
   // Create labels and memo tables up front so calls can be emitted in any

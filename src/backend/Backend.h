@@ -86,14 +86,6 @@ struct BackendOptions {
   /// Align each specialization to an I-cache line (paper section 3.4).
   bool AlignSpecializations = true;
 
-  /// Thread jumps-to-jumps when patching emitted tail jumps: if the jump
-  /// target's first instruction is itself a `j`, patch through to its
-  /// destination. The paper notes its one-pass generator "has failed to
-  /// eliminate two jumps whose targets are jumps" (section 4.2); this
-  /// extension removes them at a few generator instructions per patch.
-  /// Off by default for fidelity to the paper.
-  bool ThreadJumps = false;
-
   /// I-cache line size used for alignment; must match the VM's model.
   uint32_t IcacheLineBytes = 16;
 
@@ -114,7 +106,7 @@ struct BackendOptions {
   /// bursts instead of materializing each word with li/sw. Purely a
   /// generator-speed optimization: the dynamic code segment is
   /// byte-identical with templates on or off. Escape hatches mirror the
-  /// decode cache: `fabc --no-templates`, FAB_EMIT_TEMPLATES=0.
+  /// decode cache: `fabc --no-templates`, FAB_TEMPLATES=0.
   bool EmitTemplates = true;
 
   /// Minimum constant-run length (words) worth turning into a template.

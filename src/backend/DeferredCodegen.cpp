@@ -495,23 +495,6 @@ void FnCompiler::patchJumpHoleToCp(uint32_t HoleSlot) {
 }
 
 void FnCompiler::patchJumpHoleToReg(uint32_t HoleSlot, Reg AddrReg) {
-  if (M.Opts.ThreadJumps) {
-    // Follow chains of jumps at the target so the patched jump lands on
-    // real work (the paper's jumps-to-jumps cleanup). AddrReg is $v0
-    // here, which is safe to advance.
-    Label ThreadLoop = A.newLabel(), NoThread = A.newLabel();
-    A.bind(ThreadLoop);
-    A.lw(T8, 0, AddrReg);
-    A.srl(T9, T8, 26);
-    A.li(At, static_cast<int32_t>(static_cast<uint32_t>(Opcode::J)));
-    A.bne(T9, At, NoThread);
-    A.sll(T8, T8, 6); // clear the opcode, keep the 26-bit word target
-    A.srl(T8, T8, 4); // ... shifted back to a byte address
-    A.beq(T8, AddrReg, NoThread); // self-loop guard
-    A.move(AddrReg, T8);
-    A.j(ThreadLoop);
-    A.bind(NoThread);
-  }
   A.lw(T9, static_cast<int32_t>(HoleSlot), Fp);
   A.li(T8, static_cast<int32_t>(static_cast<uint32_t>(Opcode::J) << 26));
   A.srl(At, AddrReg, 2);

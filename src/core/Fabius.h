@@ -12,15 +12,15 @@
 ///   auto C = fab::compile(MlSource, Opts);   // parse/typecheck/stage/codegen
 ///   fab::Machine M(C->Unit);
 ///   uint32_t V = M.heap().vector({1, 2, 3});
-///   auto Dot = M.callInt("dotprod", {V, W});         // wrapper: gen + run
+///   auto Dot = M.invoke<int32_t>("dotprod", {V, W}); // wrapper: gen + run
 ///   if (!Dot) { /* structured error in Dot.error() */ }
 ///   uint32_t Spec = M.specializeOrDie("loop", {V, 0, 3}); // explicit staging
-///   int32_t R = M.callAtIntOrDie(Spec, {W, 0});
+///   int32_t R = M.invokeOrDie<int32_t>(Spec, {W, 0});
 /// \endcode
 ///
-/// All code runs on the deterministic FAB-32 simulator; Machine exposes its
-/// statistics so benchmarks can report simulated cycles, instructions
-/// executed per instruction generated, break-even points, etc.
+/// All code runs on the deterministic FAB-32 simulator. Simulated cycles
+/// are read from vm().stats(); everything else the machine counts comes
+/// through telemetry().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,10 +105,6 @@ struct CodeSpacePolicy {
   unsigned MaxGeneratorFaults = 3;
 };
 
-// RecoveryStats and SpecializationStats moved to telemetry/Stats.h
-// (included via telemetry/Telemetry.h above) so the telemetry layer can
-// aggregate them; both names are still exported from fab unchanged.
-
 /// Prints \p E and exits; shared by every *OrDie convenience.
 [[noreturn]] void dieOnError(const FabError &E);
 
@@ -156,16 +152,14 @@ public:
   Vm &vm() { return Sim; }
   HeapImage &heap() { return Heap; }
 
-  /// Calls a function by name (in Deferred mode, a staged function's entry
-  /// is its wrapper). Applies the recovery policy; once degraded, routes
-  /// to the Plain fall-back image.
-  ExecResult call(const std::string &Name, const std::vector<uint32_t> &Args);
-
-  /// The typed call surface: one implementation, two targets. By name the
-  /// full recovery policy applies (unknown-name check, watermark resets,
-  /// reset-and-retry, degradation routing); by address there is no
+  /// The call surface: one implementation, two targets. By name (in
+  /// Deferred mode, a staged function's entry is its wrapper) the full
+  /// recovery policy applies (unknown-name check, watermark resets,
+  /// reset-and-retry, degradation routing to the Plain image); by
+  /// address, i.e. previously specialized code, there is no
   /// retry/fallback, because a reset would invalidate the address. T is
-  /// one of int32_t, uint32_t, float (see detail::decodeReturn).
+  /// one of int32_t, uint32_t, float (see detail::decodeReturn). A failed
+  /// run's stop (trap, fuel) is in the error's FabError::Exec.
   template <typename T>
   FabResult<T> invoke(const std::string &Name,
                       const std::vector<uint32_t> &Args) {
@@ -197,17 +191,6 @@ public:
     return *R;
   }
 
-  // Named call conveniences, kept as one-line wrappers over invoke<T> for
-  // source compatibility with pre-telemetry callers.
-  FabResult<int32_t> callInt(const std::string &Name,
-                             const std::vector<uint32_t> &Args) {
-    return invoke<int32_t>(Name, Args);
-  }
-  FabResult<float> callFloat(const std::string &Name,
-                             const std::vector<uint32_t> &Args) {
-    return invoke<float>(Name, Args);
-  }
-
   /// Runs the generating extension of staged function \p Name on the early
   /// arguments; returns the address of the specialized code, or a
   /// structured error if the generator fails (after policy-driven
@@ -215,13 +198,12 @@ public:
   /// fallen back to Plain execution.
   FabResult<uint32_t> specialize(const std::string &Name,
                                  const std::vector<uint32_t> &EarlyArgs);
-
-  /// Calls previously specialized code. No retry/fallback: a reset would
-  /// invalidate \p Addr, so failures are reported as-is.
-  ExecResult callAt(uint32_t Addr, const std::vector<uint32_t> &Args);
-  FabResult<int32_t> callAtInt(uint32_t Addr,
-                               const std::vector<uint32_t> &Args) {
-    return invoke<int32_t>(Addr, Args);
+  uint32_t specializeOrDie(const std::string &Name,
+                           const std::vector<uint32_t> &EarlyArgs) {
+    FabResult<uint32_t> R = specialize(Name, EarlyArgs);
+    if (!R)
+      dieOnError(R.error());
+    return *R;
   }
 
   /// Calls the Plain fall-back image directly, regardless of degradation
@@ -232,26 +214,6 @@ public:
   /// RecoveryStats::PlainFallbackCalls.
   FabResult<int32_t> callPlainInt(const std::string &Name,
                                   const std::vector<uint32_t> &Args);
-
-  // Crash-on-error conveniences (print the error and exit).
-  int32_t callIntOrDie(const std::string &Name,
-                       const std::vector<uint32_t> &Args) {
-    return invokeOrDie<int32_t>(Name, Args);
-  }
-  float callFloatOrDie(const std::string &Name,
-                       const std::vector<uint32_t> &Args) {
-    return invokeOrDie<float>(Name, Args);
-  }
-  uint32_t specializeOrDie(const std::string &Name,
-                           const std::vector<uint32_t> &EarlyArgs) {
-    FabResult<uint32_t> R = specialize(Name, EarlyArgs);
-    if (!R)
-      dieOnError(R.error());
-    return *R;
-  }
-  int32_t callAtIntOrDie(uint32_t Addr, const std::vector<uint32_t> &Args) {
-    return invokeOrDie<int32_t>(Addr, Args);
-  }
 
   // -- Recovery policy -------------------------------------------------------
 
@@ -264,10 +226,10 @@ public:
 
   // -- Telemetry -------------------------------------------------------------
 
-  /// The unified stats snapshot: every counter struct below plus the
+  /// The stats snapshot: VM, memo, recovery and decode-cache counters, the
   /// machine gauges (code epoch, live specializations, code-space bytes)
-  /// and per-entry-point profiles. Prefer this over the individual
-  /// accessors; see docs/TELEMETRY.md.
+  /// and per-entry-point profiles; see docs/TELEMETRY.md. Hot-path cycle
+  /// deltas read vm().stats() instead, which copies nothing.
   TelemetrySnapshot telemetry() const;
 
   /// The lifecycle event ring (owned by the VM; the facade records
@@ -275,14 +237,6 @@ public:
   fab::telemetry::TraceRing &trace() { return Sim.trace(); }
   const fab::telemetry::TraceRing &trace() const { return Sim.trace(); }
   void setTraceEnabled(bool On) { Sim.trace().setEnabled(On); }
-
-  // DEPRECATED legacy per-struct accessors. Retained as thin views for
-  // ABI continuity — stats() also serves the hot-path before/after
-  // cycle-delta idiom in benchmarks — but all in-repo callers now read
-  // through telemetry(); new code should too.
-  const VmStats &stats() const { return Sim.stats(); }
-  const SpecializationStats &memo() const { return Memo; }
-  const RecoveryStats &recovery() const { return Recovery; }
 
   /// Per-entry-point profile for \p Fn, or nullptr before its first
   /// call/specialization. The pool's profile-guided specialization gate
@@ -330,6 +284,11 @@ private:
   /// retry on code-space pressure, fault accounting + degradation after.
   ExecResult runRecovered(uint32_t Entry, const std::vector<uint32_t> &Args);
   FabError makeError(const std::string &Fn, const ExecResult &R) const;
+  /// Calls a function by name: recovery policy, or the Plain image once
+  /// degraded.
+  ExecResult call(const std::string &Name, const std::vector<uint32_t> &Args);
+  /// Calls previously specialized code as-is.
+  ExecResult callAt(uint32_t Addr, const std::vector<uint32_t> &Args);
   /// The single implementations behind invoke<T>: raw $v0 bits or a
   /// structured error.
   FabResult<uint32_t> invokeNamedRaw(const std::string &Name,

@@ -5,6 +5,7 @@
 #include "runtime/HeapImage.h"
 #include "runtime/Layout.h"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -90,7 +91,10 @@ uint64_t fab::service::compilationFingerprint(const Compilation &C) {
 }
 
 bool fab::service::saveCacheFile(const std::string &Path, const CacheFile &F) {
-  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+  // Write a sibling temp file and rename it over Path, so a crash
+  // mid-write leaves the previous file (or none), never a torn one.
+  const std::string Tmp = Path + ".tmp";
+  std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
   if (!OS)
     return false;
   OS.write(Magic, sizeof Magic);
@@ -122,8 +126,12 @@ bool fab::service::saveCacheFile(const std::string &Path, const CacheFile &F) {
       put8(OS, E.Pinned ? 1 : 0);
     }
   }
-  OS.flush();
-  return static_cast<bool>(OS);
+  OS.close();
+  if (!OS || std::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    std::remove(Tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::optional<CacheFile>

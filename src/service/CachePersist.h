@@ -90,7 +90,9 @@ struct CacheFile {
 /// template pool, Plain image): the compatibility check for a cache file.
 uint64_t compilationFingerprint(const Compilation &C);
 
-/// Writes \p F to \p Path; false on any I/O failure.
+/// Writes \p F to `<Path>.tmp`, then renames it over \p Path, so \p Path
+/// always holds a whole file. Returns false on any I/O failure, leaving
+/// \p Path as it was.
 bool saveCacheFile(const std::string &Path, const CacheFile &F);
 
 /// Reads \p Path, validating magic/version/fingerprint and every restored

@@ -21,8 +21,6 @@ MachinePool::MachinePool(const Compilation &C, const PoolOptions &O)
     Opts.Breaker.Enabled = false;
   if (const char *E = std::getenv("FAB_RETRIES"); E && E[0] == '0' && !E[1])
     RetriesVetoed = true;
-  if (Opts.CacheCapacity) // deprecated knob: explicit values still win
-    Opts.Cache.Capacity = Opts.CacheCapacity;
   if (const char *E = std::getenv("FAB_CACHE_CAPACITY"))
     Opts.Cache.Capacity = static_cast<size_t>(std::strtoull(E, nullptr, 0));
   Opts.Cache.Capacity = std::max<size_t>(1, Opts.Cache.Capacity);
@@ -105,9 +103,9 @@ void MachinePool::shutdown() {
   }
 }
 
-WorkerStats MachinePool::workerStats(unsigned W) const {
+TelemetrySnapshot MachinePool::workerStats(unsigned W) const {
   const Worker &Wk = *Ws.at(W);
-  WorkerStats S;
+  TelemetrySnapshot S;
   {
     std::lock_guard<std::mutex> L(Wk.StatsMutex);
     S = Wk.Stats;
@@ -121,9 +119,6 @@ WorkerStats MachinePool::workerStats(unsigned W) const {
     S.Overload.Shed = Wk.Shed;
     S.QueueHighWater = std::max(S.QueueHighWater, Wk.QueueHighWater);
   }
-  S.Telemetry.Overload.Shed = S.Overload.Shed;
-  S.Telemetry.QueueHighWater =
-      std::max(S.Telemetry.QueueHighWater, S.QueueHighWater);
   return S;
 }
 
@@ -166,13 +161,14 @@ materialize(Machine &M, std::map<std::vector<int32_t>, uint32_t> *Intern,
 FabResult<int32_t>
 MachinePool::serve(Machine &M, SpecCache &Cache,
                    std::map<std::vector<int32_t>, uint32_t> &Intern,
-                   Request &R, BatchSpecMap &BatchSpecs, WorkerStats &Local) {
-  VmStats Before = M.stats();
+                   Request &R, BatchSpecMap &BatchSpecs,
+                   TelemetrySnapshot &Local) {
+  VmStats Before = M.vm().stats();
   // Served/Errors are counted once per *request* by the worker loop, not
   // here: a request may run serve() several times (retries) and must not
   // be double-counted.
   auto finish = [&](FabResult<int32_t> Res) {
-    Local.BusyCycles += (M.stats() - Before).Cycles;
+    Local.BusyCyclesTotal += (M.vm().stats() - Before).Cycles;
     return Res;
   };
 
@@ -220,7 +216,7 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
     }
     std::vector<uint32_t> EarlyWords =
         materialize(M, Opts.InternEarlyArgs ? &Intern : nullptr, R.Early);
-    uint64_t GenBefore = M.stats().DynWordsWritten;
+    uint64_t GenBefore = M.vm().stats().DynWordsWritten;
     FabResult<uint32_t> S = M.specialize(R.Key.Fn, EarlyWords);
     if (!S)
       return finish(S.error());
@@ -229,13 +225,13 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
       // specialize() may have reset the code space (watermark/retry), so
       // tag with the epoch as of *now*; the emitted-words delta funds the
       // compaction planner's byte budget (0 on an in-VM memo hit).
-      uint64_t Bytes = (M.stats().DynWordsWritten - GenBefore) * 4;
+      uint64_t Bytes = (M.vm().stats().DynWordsWritten - GenBefore) * 4;
       Cache.insert(R.Key, Addr, M.codeEpoch(), Bytes);
       BatchSpecs[R.Key] = {Addr, M.codeEpoch()};
     }
   }
   std::vector<uint32_t> LateWords = materialize(M, nullptr, R.Late);
-  return finish(M.callAtInt(Addr, LateWords));
+  return finish(M.invoke<int32_t>(Addr, LateWords));
 }
 
 void MachinePool::runWorker(unsigned Idx) {
@@ -251,7 +247,9 @@ void MachinePool::runWorker(unsigned Idx) {
   rebuild();
   SpecCache Cache(Opts.Cache);
   std::map<std::vector<int32_t>, uint32_t> Intern;
-  WorkerStats Local;
+  // The worker-owned counters (the snapshot's service-level block); the
+  // machine and the cache own the rest. publish() assembles the three.
+  TelemetrySnapshot Local;
 
   // Warm start: replay this worker's image from the validated cache file
   // (fingerprint and worker count already checked in the ctor). Every
@@ -331,21 +329,13 @@ void MachinePool::runWorker(unsigned Idx) {
     T.Errors = Local.Errors;
     T.Coalesced = Local.Coalesced;
     T.QueueHighWater = Local.QueueHighWater;
-    T.BusyCyclesTotal = T.BusyCyclesMax = Local.BusyCycles;
+    T.BusyCyclesTotal = T.BusyCyclesMax = Local.BusyCyclesTotal;
     T.HeapRecycles = Local.HeapRecycles;
     T.Overload = Local.Overload;
     T.Latency = Local.Latency;
     T.BreakersOpen = Local.BreakersOpen;
-    // Mirror the snapshot into the legacy per-struct fields.
-    Local.Cache = T.Cache;
-    Local.Memo = T.Memo;
-    Local.Recovery = T.Recovery;
-    Local.DecodeCache = T.DecodeCache;
-    Local.Degraded = M->degraded();
-    Local.GenInstrWords = T.Vm.DynWordsWritten;
-    Local.Telemetry = std::move(T);
     std::lock_guard<std::mutex> L(W.StatsMutex);
-    W.Stats = Local;
+    W.Stats = std::move(T);
   };
 
   // Per-entry-point circuit breakers: worker-private state, keyed by
@@ -367,13 +357,13 @@ void MachinePool::runWorker(unsigned Idx) {
   // The Plain image collapses currying, so an open breaker serves the
   // combined early+late argument list through Machine::callPlainInt.
   auto servePlain = [&](Request &R) -> FabResult<int32_t> {
-    VmStats Before = M->stats();
+    VmStats Before = M->vm().stats();
     std::vector<uint32_t> Words =
         materialize(*M, Opts.InternEarlyArgs ? &Intern : nullptr, R.Early);
     std::vector<uint32_t> LateW = materialize(*M, nullptr, R.Late);
     Words.insert(Words.end(), LateW.begin(), LateW.end());
     FabResult<int32_t> Res = M->callPlainInt(R.Key.Fn, Words);
-    Local.BusyCycles += (M->stats() - Before).Cycles;
+    Local.BusyCyclesTotal += (M->vm().stats() - Before).Cycles;
     return Res;
   };
 
@@ -407,7 +397,8 @@ void MachinePool::runWorker(unsigned Idx) {
       ++Local.Overload.DeadlineMisses;
       if (Tracing)
         M->trace().record(telemetry::EventKind::RequestShed,
-                          M->stats().Executed, Now - R.DeadlineNs, 0, NameId);
+                          M->vm().stats().Executed, Now - R.DeadlineNs, 0,
+                          NameId);
       return FabError{FabErrc::DeadlineExceeded, R.Key.Fn, {}};
     }
 
@@ -438,7 +429,7 @@ void MachinePool::runWorker(unsigned Idx) {
         ++Local.Overload.BreakerProbes;
         if (Tracing)
           M->trace().record(telemetry::EventKind::BreakerProbe,
-                            M->stats().Executed, 0, 0, NameId);
+                            M->vm().stats().Executed, 0, 0, NameId);
       }
     }
 
@@ -471,7 +462,7 @@ void MachinePool::runWorker(unsigned Idx) {
       ++Local.Overload.Retried;
       if (Tracing)
         M->trace().record(telemetry::EventKind::RequestRetry,
-                          M->stats().Executed, Attempt,
+                          M->vm().stats().Executed, Attempt,
                           static_cast<uint64_t>(C), NameId);
       if (Opts.RetryBackoffUs)
         std::this_thread::sleep_for(std::chrono::microseconds(
@@ -490,7 +481,7 @@ void MachinePool::runWorker(unsigned Idx) {
       if (Res.ok()) {
         if (Probe && Tracing)
           M->trace().record(telemetry::EventKind::BreakerClose,
-                            M->stats().Executed, 0, 0, NameId);
+                            M->vm().stats().Executed, 0, 0, NameId);
         B->Open = false;
         B->Fails = 0;
       } else if (Counted) {
@@ -501,7 +492,7 @@ void MachinePool::runWorker(unsigned Idx) {
           ++Local.Overload.BreakerOpens;
           if (Tracing)
             M->trace().record(telemetry::EventKind::BreakerOpen,
-                              M->stats().Executed, B->Fails, 0, NameId);
+                              M->vm().stats().Executed, B->Fails, 0, NameId);
         }
       }
       // A deadline miss during a probe leaves the breaker open with no
@@ -530,7 +521,7 @@ void MachinePool::runWorker(unsigned Idx) {
     const uint64_t Resident = Cache.size();
     Cache.clear();
     BatchSpecs.clear();
-    VmStats Before = M->stats();
+    VmStats Before = M->vm().stats();
     M->resetCodeSpace();
     uint64_t Kept = 0;
     for (const SpecCache::PlanEntry &P : Plan) {
@@ -539,17 +530,17 @@ void MachinePool::runWorker(unsigned Idx) {
         continue;
       std::vector<uint32_t> Words =
           materialize(*M, Opts.InternEarlyArgs ? &Intern : nullptr, *Early);
-      uint64_t GenBefore = M->stats().DynWordsWritten;
+      uint64_t GenBefore = M->vm().stats().DynWordsWritten;
       FabResult<uint32_t> S = M->specialize(P.Key.Fn, Words);
       if (!S)
         continue;
-      uint64_t Bytes = (M->stats().DynWordsWritten - GenBefore) * 4;
+      uint64_t Bytes = (M->vm().stats().DynWordsWritten - GenBefore) * 4;
       Cache.insert(P.Key, *S, M->codeEpoch(), Bytes);
       if (P.Pinned)
         Cache.pin(P.Key, true);
       ++Kept;
     }
-    Local.BusyCycles += (M->stats() - Before).Cycles;
+    Local.BusyCyclesTotal += (M->vm().stats() - Before).Cycles;
     Cache.noteCompaction(Kept, Resident - Kept);
   };
 
@@ -587,7 +578,7 @@ void MachinePool::runWorker(unsigned Idx) {
       const bool Tracing = M->trace().enabled();
       if (Tracing)
         M->trace().record(telemetry::EventKind::WorkerBegin,
-                          M->stats().Executed, 0, 0,
+                          M->vm().stats().Executed, 0, 0,
                           telemetry::internName(R.Key.Fn));
       FabResult<int32_t> Res = FabError{FabErrc::Trapped, R.Key.Fn, {}};
       if (R.K == Request::Kind::Invalidate) {
@@ -610,7 +601,7 @@ void MachinePool::runWorker(unsigned Idx) {
       }
       if (Tracing)
         M->trace().record(telemetry::EventKind::WorkerComplete,
-                          M->stats().Executed, Res ? 1 : 0, 0,
+                          M->vm().stats().Executed, Res ? 1 : 0, 0,
                           telemetry::internName(R.Key.Fn));
       if (Res)
         ++Local.Served;
@@ -621,8 +612,8 @@ void MachinePool::runWorker(unsigned Idx) {
       Local.BreakersOpen = breakersOpen();
       drainRing();
       // Publish before resolving the future: once a caller observes a
-      // result, stats() already accounts for the request that produced
-      // it (tests and benches rely on this ordering).
+      // result, workerStats() already accounts for the request that
+      // produced it (tests and benches rely on this ordering).
       publish();
       if (R.Completion)
         R.Completion(std::move(Res));

@@ -101,9 +101,6 @@ struct PoolOptions {
   /// persistence files. FAB_CACHE_CAPACITY / FAB_ADMISSION=0 /
   /// FAB_CACHE_FILE override at process level (see docs/INTERNALS.md).
   CachePolicy Cache;
-  /// DEPRECATED: pre-policy capacity knob. Nonzero overrides
-  /// Cache.Capacity; new code should set Cache.Capacity directly.
-  size_t CacheCapacity = 0;
   /// Host-side value-keyed caching of specialization addresses. Off =
   /// every request goes through the generator path (the in-VM memo may
   /// still answer it when the early data is interned).
@@ -151,31 +148,6 @@ struct PoolOptions {
       BeforeRequest;
 };
 
-/// Per-worker counters, published by the worker before each request's
-/// future resolves and snapshotted under a lock by workerStats() — so a
-/// caller that has observed a result observes its accounting too.
-struct WorkerStats {
-  uint64_t Served = 0;   ///< requests answered with a value
-  uint64_t Errors = 0;   ///< requests answered with a FabError
-  uint64_t Coalesced = 0;///< batch peers that shared a specialization run
-  uint64_t QueueHighWater = 0; ///< deepest the queue has been
-  uint64_t BusyCycles = 0;     ///< simulated cycles spent serving
-  uint64_t GenInstrWords = 0;  ///< Machine::instructionsGenerated()
-  uint64_t HeapRecycles = 0;   ///< machine rebuilds on heap pressure
-  bool Degraded = false;
-  OverloadStats Overload;      ///< shed / deadline / retry / breaker
-  LatencyStats Latency;        ///< submit-to-resolve wall latency
-  unsigned BreakersOpen = 0;   ///< entry-point breakers open right now
-  SpecCacheStats Cache;
-  SpecializationStats Memo;
-  RecoveryStats Recovery;
-  DecodeCacheStats DecodeCache; ///< worker VM's predecoded-block engine
-  /// The full per-worker snapshot (carries everything above plus the VM
-  /// counters, gauges, and entry-point profiles; counters retired by heap
-  /// recycling are folded in). SpecServer::telemetry() sums these.
-  TelemetrySnapshot Telemetry;
-};
-
 class MachinePool {
 public:
   /// \p C must outlive the pool (machines are rebuilt from it on heap
@@ -207,7 +179,12 @@ public:
   /// Idempotent; the destructor calls it.
   void shutdown();
 
-  WorkerStats workerStats(unsigned W) const;
+  /// Worker \p W's snapshot: its machine counters (with those of
+  /// machines retired by heap recycling folded in), its SpecCache and
+  /// its serving counters, with Workers = 1. The worker publishes it
+  /// before each request's result is delivered, so a caller that has
+  /// observed a result observes its accounting too.
+  TelemetrySnapshot workerStats(unsigned W) const;
 
   /// Takes (and clears) worker \p W's accumulated trace events. The
   /// worker drains its machine's ring into this log after every request
@@ -225,7 +202,7 @@ private:
     bool Stopped = false;            // guarded by QueueMutex
 
     mutable std::mutex StatsMutex;
-    WorkerStats Stats; // guarded by StatsMutex
+    TelemetrySnapshot Stats; // guarded by StatsMutex
     /// Trace events drained from the worker machine's ring (bounded;
     /// oldest dropped). Guarded by StatsMutex.
     std::vector<telemetry::TraceEvent> TraceLog;
@@ -248,7 +225,7 @@ private:
   FabResult<int32_t> serve(Machine &M, SpecCache &Cache,
                            std::map<std::vector<int32_t>, uint32_t> &Intern,
                            Request &R, BatchSpecMap &BatchSpecs,
-                           WorkerStats &Local);
+                           TelemetrySnapshot &Local);
 
   const Compilation &Comp;
   PoolOptions Opts;

@@ -97,12 +97,7 @@ SpecKey SpecKey::fromHeap(const std::string &Fn,
   return make(Fn, Early);
 }
 
-SpecCache::SpecCache(const CacheOptions &Options) : Policy(Options) {}
-
-SpecCache::SpecCache(size_t Capacity) {
-  Policy.Capacity = Capacity;
-  Policy.Admission = false; // pre-policy plain-LRU semantics
-}
+SpecCache::SpecCache(const CachePolicy &Options) : Policy(Options) {}
 
 std::optional<uint32_t> SpecCache::lookup(const SpecKey &K, uint64_t Epoch) {
   auto It = Map.find(K);

@@ -115,10 +115,6 @@ struct SpecKeyHash {
   }
 };
 
-// SpecCacheStats moved to telemetry/Stats.h (included above) so the
-// telemetry layer can aggregate it; fab::SpecCacheStats is still found
-// here unqualified through the enclosing namespace.
-
 /// Everything policy-shaped about the cache layer, in one struct threaded
 /// SpecCache -> PoolOptions -> ServerOptions -> fabserve flags (see
 /// docs/SERVICE.md "Cache policy" and the docs/INTERNALS.md toggle
@@ -158,18 +154,12 @@ struct CachePolicy {
   std::string LoadFile;
   std::string SaveFile;
 };
-/// The constructor-facing alias (SpecCache(const CacheOptions &)).
-using CacheOptions = CachePolicy;
 
 /// The cache proper. Single-threaded by design: each pool worker owns
 /// one, alongside its Machine (the sharding model — see MachinePool.h).
 class SpecCache {
 public:
-  explicit SpecCache(const CacheOptions &Options);
-  /// Legacy shim: a plain LRU of \p Capacity with the policy machinery
-  /// (doorkeeper admission) off, preserving pre-policy behaviour for
-  /// existing callers. New code should pass a CachePolicy.
-  explicit SpecCache(size_t Capacity = 1024);
+  explicit SpecCache(const CachePolicy &Options);
 
   /// Returns the cached specialization address when present and produced
   /// in \p Epoch; a stale-epoch entry is erased and counted as a

@@ -91,15 +91,6 @@ bool SpecServer::postRouted(Request R) {
 
 std::future<FabResult<int32_t>> SpecServer::submit(const std::string &Fn,
                                                    std::vector<Value> Early,
-                                                   std::vector<Value> Late) {
-  // Legacy shim: no deadline, no retries (unchanged pre-SubmitOptions
-  // behaviour for existing callers).
-  return submit(Fn, std::move(Early), std::move(Late),
-                SubmitOptions{/*DeadlineNs=*/0, /*MaxRetries=*/0});
-}
-
-std::future<FabResult<int32_t>> SpecServer::submit(const std::string &Fn,
-                                                   std::vector<Value> Early,
                                                    std::vector<Value> Late,
                                                    const SubmitOptions &O) {
   Request R = buildRequest(Fn, std::move(Early), std::move(Late), O);
@@ -186,8 +177,7 @@ FabResult<int32_t> SpecServer::invalidate(const std::string &Fn) {
 TelemetrySnapshot SpecServer::telemetry() const {
   TelemetrySnapshot T;
   for (unsigned I = 0; I < Pool.workers(); ++I) {
-    WorkerStats S = Pool.workerStats(I);
-    TelemetrySnapshot Ws = S.Telemetry;
+    TelemetrySnapshot Ws = Pool.workerStats(I);
     // One load row per worker survives aggregation, so a single hot or
     // failing worker stays visible behind the pool-wide sums.
     WorkerLoadRow Row;
@@ -208,26 +198,4 @@ TelemetrySnapshot SpecServer::telemetry() const {
   T.Submitted = Submitted.load(std::memory_order_relaxed);
   T.Rejected += RejectedCount.load(std::memory_order_relaxed);
   return T;
-}
-
-ServerStats SpecServer::stats() const {
-  TelemetrySnapshot T = telemetry();
-  ServerStats S;
-  S.Workers = T.Workers;
-  S.Submitted = T.Submitted;
-  S.Served = T.Served;
-  S.Errors = T.Errors;
-  S.Rejected = T.Rejected;
-  S.Coalesced = T.Coalesced;
-  S.QueueHighWater = T.QueueHighWater;
-  S.BusyCyclesTotal = T.BusyCyclesTotal;
-  S.BusyCyclesMax = T.BusyCyclesMax;
-  S.GenInstrWords = T.Vm.DynWordsWritten;
-  S.HeapRecycles = T.HeapRecycles;
-  S.DegradedWorkers = T.DegradedMachines;
-  S.Cache = T.Cache;
-  S.Memo = T.Memo;
-  S.Recovery = T.Recovery;
-  S.DecodeCache = T.DecodeCache;
-  return S;
 }

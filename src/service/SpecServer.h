@@ -35,7 +35,8 @@
 namespace fab {
 namespace service {
 
-/// Per-request service parameters (the 4-arg submit overload).
+/// Per-request service parameters. The default is no deadline and no
+/// retries.
 struct SubmitOptions {
   /// Relative deadline in nanoseconds from submit; 0 = none. Enforced at
   /// dequeue (late work is shed with DeadlineExceeded before any
@@ -46,7 +47,7 @@ struct SubmitOptions {
   /// Retries after transient failures (traps, fuel exhaustion, code-space
   /// exhaustion), with bounded exponential host-side backoff between
   /// attempts. FAB_RETRIES=0 forces 0 process-wide.
-  unsigned MaxRetries = 1;
+  unsigned MaxRetries = 0;
 };
 
 struct ServerOptions {
@@ -60,33 +61,6 @@ struct ServerOptions {
   std::function<void(const TelemetrySnapshot &)> ReportSink;
 };
 
-/// DEPRECATED aggregate view across the pool, derived from telemetry().
-/// Kept (with stats()) for ABI continuity only; every in-repo caller
-/// reads the TelemetrySnapshot now, and new code should too.
-struct ServerStats {
-  unsigned Workers = 0;
-  uint64_t Submitted = 0;
-  uint64_t Served = 0;
-  uint64_t Errors = 0;
-  uint64_t Rejected = 0;       ///< refused at submit (shutdown only;
-                               ///< queue-full refusals count as Shed)
-  uint64_t Coalesced = 0;
-  uint64_t QueueHighWater = 0; ///< deepest any one worker queue got
-  uint64_t BusyCyclesTotal = 0;
-  /// Pool makespan in simulated cycles: the busiest worker's serving
-  /// cycles. Each worker is an independent simulated machine (one core
-  /// each in a real deployment), so requests/second at the modeled clock
-  /// is Served / (BusyCyclesMax / 25 MHz).
-  uint64_t BusyCyclesMax = 0;
-  uint64_t GenInstrWords = 0;  ///< generator emissions, summed over workers
-  uint64_t HeapRecycles = 0;
-  unsigned DegradedWorkers = 0;
-  SpecCacheStats Cache;        ///< summed over workers
-  SpecializationStats Memo;    ///< summed over workers
-  RecoveryStats Recovery;      ///< summed over workers
-  DecodeCacheStats DecodeCache;///< summed over workers
-};
-
 class SpecServer {
 public:
   /// \p C must outlive the server.
@@ -98,14 +72,10 @@ public:
   /// values and run it on the late values. After shutdown(), or when the
   /// routed worker's queue is at PoolOptions::MaxQueueDepth (load
   /// shedding), the future is already resolved with FabErrc::Rejected.
-  /// The 3-arg form carries no deadline and no retries.
-  std::future<FabResult<int32_t>> submit(const std::string &Fn,
-                                         std::vector<Value> Early,
-                                         std::vector<Value> Late);
   std::future<FabResult<int32_t>> submit(const std::string &Fn,
                                          std::vector<Value> Early,
                                          std::vector<Value> Late,
-                                         const SubmitOptions &O);
+                                         const SubmitOptions &O = {});
 
   /// Callback form of submit() for callers that complete requests out of
   /// submission order without parking a thread per future (the wire
@@ -143,7 +113,9 @@ public:
   void shutdown();
 
   unsigned workers() const { return Pool.workers(); }
-  WorkerStats workerStats(unsigned W) const { return Pool.workerStats(W); }
+  TelemetrySnapshot workerStats(unsigned W) const {
+    return Pool.workerStats(W);
+  }
 
   /// The unified snapshot summed across workers (counters add, high-water
   /// marks take the max, entry profiles merge by name) plus the
@@ -155,10 +127,6 @@ public:
   std::vector<fab::telemetry::TraceEvent> drainWorkerTrace(unsigned W) {
     return Pool.drainTrace(W);
   }
-
-  /// DEPRECATED legacy aggregate, derived from telemetry() (see
-  /// ServerStats).
-  ServerStats stats() const;
 
 private:
   void runReporter();

@@ -88,10 +88,10 @@ struct DecodeCacheStats {
 };
 
 /// Host-visible memoization behaviour of the in-VM memo tables; see
-/// Machine::memo(). A "hit" is a successful specialize() that emitted no
-/// dynamic code (the generator was answered entirely from its memo
-/// table), so callers can prove a cached path skipped the generator by
-/// checking instructionsGenerated() stayed constant.
+/// TelemetrySnapshot::Memo. A "hit" is a successful specialize() that
+/// emitted no dynamic code (the generator was answered entirely from its
+/// memo table), so callers can prove a cached path skipped the generator
+/// by checking instructionsGenerated() stayed constant.
 struct SpecializationStats {
   uint64_t GeneratorRuns = 0; ///< successful specialize() operations
   uint64_t MemoHits = 0;      ///< ... that emitted no code
@@ -113,7 +113,7 @@ struct SpecializationStats {
   }
 };
 
-/// Counters describing recovery activity; see Machine::recovery().
+/// Counters describing recovery activity; see TelemetrySnapshot::Recovery.
 struct RecoveryStats {
   uint64_t WatermarkResets = 0;    ///< preemptive resets at high watermark
   uint64_t FaultResets = 0;        ///< resets in response to pressure traps

@@ -59,10 +59,6 @@ enum class Fault {
   CodeSpaceExhausted, ///< dynamic-code emission past [DynLo, DynHi)
 };
 
-// VmStats and DecodeCacheStats moved to telemetry/Stats.h (included
-// above) so the telemetry layer can aggregate them without depending on
-// the VM; this header keeps exporting both names unchanged.
-
 /// Deterministic fault injection for testing failure paths (the machine
 /// layer's recovery logic, harness error reporting, benchmark guard rails).
 /// While Armed, run() stops with the configured outcome immediately before

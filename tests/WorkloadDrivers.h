@@ -34,7 +34,7 @@ using DriverResults = std::vector<int32_t>;
 inline DriverResults driveMatmul(Machine &M) {
   uint32_t V1 = M.heap().vector({0, 3, 0, 5, 2, 0, 0, 1});
   uint32_t V2 = M.heap().vector({9, 2, 7, 4, 1, 1, 8, 3});
-  return {M.callIntOrDie("dotprod", {V1, V2})};
+  return {M.invokeOrDie<int32_t>("dotprod", {V1, V2})};
 }
 
 inline DriverResults driveFMatmul(Machine &M) {
@@ -49,7 +49,7 @@ inline DriverResults driveFMatmul(Machine &M) {
   uint32_t Btr = buildRealRows(M, B);
   uint32_t Cr = buildRealRows(
       M, std::vector<std::vector<float>>(N, std::vector<float>(N, 0.0f)));
-  return {M.callIntOrDie("fmatmul", {Ar, Btr, Cr})};
+  return {M.invokeOrDie<int32_t>("fmatmul", {Ar, Btr, Cr})};
 }
 
 inline DriverResults drivePacketFilter(Machine &M) {
@@ -58,7 +58,7 @@ inline DriverResults drivePacketFilter(Machine &M) {
   DriverResults Out;
   for (const auto &P : bpf::makeTrace(6, 99)) {
     uint32_t Pv = M.heap().vector(P);
-    Out.push_back(M.callIntOrDie("runfilter", {Fv, Pv}));
+    Out.push_back(M.invokeOrDie<int32_t>("runfilter", {Fv, Pv}));
   }
   return Out;
 }
@@ -70,7 +70,7 @@ inline DriverResults driveRegexp(Machine &M) {
   DriverResults Out;
   for (const char *W : {"facetious", "abstemious", "zzz"}) {
     uint32_t S = M.heap().string(W);
-    Out.push_back(M.callIntOrDie("matches", {Prog, S}));
+    Out.push_back(M.invokeOrDie<int32_t>("matches", {Prog, S}));
   }
   return Out;
 }
@@ -80,8 +80,8 @@ inline DriverResults driveAssoc(Machine &M) {
   for (int32_t I = 0; I < 64; ++I)
     Entries.push_back({I * 3 + 1, I * 100});
   uint32_t L = workloads::buildAList(M, Entries);
-  DriverResults Out = {M.callIntOrDie("lookup", {L, 7}),
-                       M.callIntOrDie("lookup", {L, 999999})};
+  DriverResults Out = {M.invokeOrDie<int32_t>("lookup", {L, 7}),
+                       M.invokeOrDie<int32_t>("lookup", {L, 999999})};
   EXPECT_EQ(Out[0], 200);
   EXPECT_EQ(Out[1], -1);
   return Out;
@@ -92,8 +92,8 @@ inline DriverResults driveMember(Machine &M) {
   for (int32_t I = 0; I < 64; ++I)
     Elems.push_back(I * 7);
   uint32_t S = workloads::buildISet(M, Elems);
-  DriverResults Out = {M.callIntOrDie("member", {S, 7 * 13}),
-                       M.callIntOrDie("member", {S, 5})};
+  DriverResults Out = {M.invokeOrDie<int32_t>("member", {S, 7 * 13}),
+                       M.invokeOrDie<int32_t>("member", {S, 5})};
   EXPECT_EQ(Out[0], 1);
   EXPECT_EQ(Out[1], 0);
   return Out;
@@ -103,13 +103,13 @@ inline DriverResults driveLife(Machine &M) {
   uint32_t W = 0, H = 0;
   std::vector<int32_t> Cells = workloads::gliderGunCells(1, W, H);
   uint32_t S = workloads::buildISet(M, Cells);
-  return {M.callIntOrDie("life", {S, 2, W * H, W})};
+  return {M.invokeOrDie<int32_t>("life", {S, 2, W * H, W})};
 }
 
 inline DriverResults driveIsort(Machine &M) {
   auto Words = workloads::wordList(12, 3);
   uint32_t Arr = workloads::buildStringArray(M, Words);
-  return {M.callIntOrDie("sortall", {Arr})};
+  return {M.invokeOrDie<int32_t>("sortall", {Arr})};
 }
 
 inline DriverResults driveCg(Machine &M) {
@@ -129,9 +129,7 @@ inline DriverResults driveCg(Machine &M) {
     return M.heap().vectorF(std::vector<float>(N, 0.0f));
   };
   uint32_t X = ZeroVec(), Rv = ZeroVec(), P = ZeroVec(), Ap = ZeroVec();
-  ExecResult Res = M.call("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters});
-  EXPECT_TRUE(Res.ok()) << Res.describe();
-  return {static_cast<int32_t>(Res.V0)};
+  return {M.invokeOrDie<int32_t>("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters})};
 }
 
 inline DriverResults drivePseudoknot(Machine &M) {
@@ -141,7 +139,7 @@ inline DriverResults drivePseudoknot(Machine &M) {
   uint32_t ChkV = M.heap().vector(Chk);
   uint32_t Vals =
       M.heap().vector({1, 5, 3, 9, 2, 8, 0, 4, 6, 7, 11, 13, 2, 5, 1, 3});
-  return {M.callIntOrDie("pkrun", {ChkV, Vals, Levels})};
+  return {M.invokeOrDie<int32_t>("pkrun", {ChkV, Vals, Levels})};
 }
 
 struct WorkloadDriver {

@@ -31,7 +31,7 @@ TEST(DeferredExec, DotProductViaWrapper) {
   Machine M(C.Unit);
   uint32_t V1 = M.heap().vector({1, 2, 3});
   uint32_t V2 = M.heap().vector({4, 5, 6});
-  EXPECT_EQ(M.callIntOrDie("dotprod", {V1, V2}), 32);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 32);
   EXPECT_GT(M.instructionsGenerated(), 0u);
   EXPECT_EQ(M.vm().coherenceViolations(), 0u);
 }
@@ -43,8 +43,8 @@ TEST(DeferredExec, ExplicitSpecializeThenCall) {
   uint32_t V2 = M.heap().vector({1, 1, 1, 1});
   uint32_t V3 = M.heap().vector({1, 2, 3, 4});
   uint32_t Spec = M.specializeOrDie("loop", {V1, 0, 4});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V2, 0}), 20);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V3, 0}), 2 + 8 + 18 + 32);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V2, 0}), 20);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V3, 0}), 2 + 8 + 18 + 32);
 }
 
 TEST(DeferredExec, MemoizationReusesCode) {
@@ -83,9 +83,9 @@ TEST(DeferredExec, UnrolledLoopIsBranchFreeStraightLine) {
   uint32_t V2 = M.heap().vector({5, 4, 3, 2, 1});
   uint32_t Spec = M.specializeOrDie("loop", {V1, 0, 5});
   uint64_t Generated = M.instructionsGenerated();
-  VmStats Before = M.stats();
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V2, 0}), 5 + 8 + 9 + 8 + 5);
-  VmStats D = M.stats() - Before;
+  VmStats Before = M.vm().stats();
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V2, 0}), 5 + 8 + 9 + 8 + 5);
+  VmStats D = M.vm().stats() - Before;
   // Straight line: every generated word executes exactly once, except the
   // five bounds-failure trap words (one per v2 subscript) skipped by their
   // in-bounds branch.
@@ -102,9 +102,9 @@ TEST(DeferredExec, CodegenCostIsNearPaperReported) {
   for (int I = 0; I < 64; ++I)
     Elems[I] = I * 7 % 23;
   uint32_t V1 = M.heap().vector(Elems);
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   M.specializeOrDie("loop", {V1, 0, 64});
-  VmStats D = M.stats() - Before;
+  VmStats D = M.vm().stats() - Before;
   double PerInst = static_cast<double>(D.Executed) /
                    static_cast<double>(D.DynWordsWritten);
   EXPECT_GT(PerInst, 2.0);
@@ -117,11 +117,13 @@ TEST(DeferredExec, ResidualizationLargeConstants) {
   const char *Src = "fun f (k : int) (x : int) = x + k";
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
-  EXPECT_EQ(M.callIntOrDie("f", {5, 10}), 15);
-  EXPECT_EQ(M.callIntOrDie("f", {0x123456, 1}), 0x123457);
-  EXPECT_EQ(M.callIntOrDie("f", {static_cast<uint32_t>(-40000), 1}), -39999);
-  EXPECT_EQ(M.callIntOrDie("f", {32767, 1}), 32768);
-  EXPECT_EQ(M.callIntOrDie("f", {static_cast<uint32_t>(-32768), 1}), -32767);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {5, 10}), 15);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {0x123456, 1}), 0x123457);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {static_cast<uint32_t>(-40000), 1}),
+            -39999);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {32767, 1}), 32768);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {static_cast<uint32_t>(-32768), 1}),
+            -32767);
 }
 
 TEST(DeferredExec, LateConditional) {
@@ -130,8 +132,8 @@ TEST(DeferredExec, LateConditional) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {10});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {25}), 15);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {3}), 7);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {25}), 15);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {3}), 7);
 }
 
 TEST(DeferredExec, EarlyConditionalUnfolds) {
@@ -142,8 +144,8 @@ TEST(DeferredExec, EarlyConditionalUnfolds) {
   Machine M(C.Unit);
   uint32_t SpecPos = M.specializeOrDie("f", {5});
   uint32_t SpecNeg = M.specializeOrDie("f", {static_cast<uint32_t>(-5)});
-  EXPECT_EQ(M.callAtIntOrDie(SpecPos, {100}), 105);
-  EXPECT_EQ(M.callAtIntOrDie(SpecNeg, {100}), 105); // x - (-5)
+  EXPECT_EQ(M.invokeOrDie<int32_t>(SpecPos, {100}), 105);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(SpecNeg, {100}), 105); // x - (-5)
 }
 
 TEST(DeferredExec, NestedLateConditionals) {
@@ -153,10 +155,10 @@ TEST(DeferredExec, NestedLateConditionals) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {10});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {25}), 1);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {15}), 2);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {static_cast<uint32_t>(-1)}), 3);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {5}), 4);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {25}), 1);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {15}), 2);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {static_cast<uint32_t>(-1)}), 3);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {5}), 4);
 }
 
 TEST(DeferredExec, LateLetBindings) {
@@ -166,7 +168,7 @@ TEST(DeferredExec, LateLetBindings) {
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {3});
   // a = 12, b = 16 for x = 4.
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {4}), 12 * 16);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {4}), 12 * 16);
 }
 
 TEST(DeferredExec, EarlyLetUnderLateCode) {
@@ -175,7 +177,7 @@ TEST(DeferredExec, EarlyLetUnderLateCode) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {7});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), 50);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), 50);
 }
 
 TEST(DeferredExec, VSubEarlyVectorLateIndex) {
@@ -184,11 +186,12 @@ TEST(DeferredExec, VSubEarlyVectorLateIndex) {
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({7, 8, 9});
   uint32_t Spec = M.specializeOrDie("f", {V});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {0}), 7);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {2}), 9);
-  ExecResult R = M.callAt(Spec, {3});
-  EXPECT_EQ(R.Reason, StopReason::Trapped);
-  EXPECT_EQ(R.TrapValue, static_cast<uint32_t>(TrapCode::Bounds));
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {0}), 7);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {2}), 9);
+  FabResult<int32_t> R = M.invoke<int32_t>(Spec, {3});
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Exec.Reason, StopReason::Trapped);
+  EXPECT_EQ(R.error().Exec.TrapValue, static_cast<uint32_t>(TrapCode::Bounds));
 }
 
 TEST(DeferredExec, VSubLateVectorEarlyIndex) {
@@ -197,11 +200,12 @@ TEST(DeferredExec, VSubLateVectorEarlyIndex) {
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({7, 8, 9});
   uint32_t Spec = M.specializeOrDie("f", {1});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V}), 8);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V}), 8);
   // Out-of-range early index against a short late vector traps.
   uint32_t Spec9 = M.specializeOrDie("f", {9});
-  ExecResult R = M.callAt(Spec9, {V});
-  EXPECT_EQ(R.Reason, StopReason::Trapped);
+  FabResult<int32_t> R = M.invoke<int32_t>(Spec9, {V});
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Exec.Reason, StopReason::Trapped);
 }
 
 TEST(DeferredExec, VSubBothLate) {
@@ -211,7 +215,7 @@ TEST(DeferredExec, VSubBothLate) {
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({5, 6});
   uint32_t Spec = M.specializeOrDie("f", {100});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V, 1}), 106);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V, 1}), 106);
 }
 
 TEST(DeferredExec, LateCaseDispatch) {
@@ -227,9 +231,9 @@ TEST(DeferredExec, LateCaseDispatch) {
   uint32_t Rect = M.heap().cell(1, {3, 5});
   uint32_t Pt = M.heap().cell(2, {});
   uint32_t Spec = M.specializeOrDie("area", {1000});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {Circ}), 48 + 1000);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {Rect}), 15 + 1000);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {Pt}), 1000);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {Circ}), 48 + 1000);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {Rect}), 15 + 1000);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {Pt}), 1000);
 }
 
 TEST(DeferredExec, EarlyCaseUnfoldsOverDatatype) {
@@ -247,15 +251,15 @@ TEST(DeferredExec, EarlyCaseUnfoldsOverDatatype) {
   L = M.heap().cell(1, {2, 20, L});
   L = M.heap().cell(1, {1, 10, L});
   uint32_t Spec = M.specializeOrDie("lookup", {L});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), 10);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {2}), 20);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {3}), 30);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {4}), -1);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), 10);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {2}), 20);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {3}), 30);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {4}), -1);
   // No loads from the list in the generated code: the lookup executes
   // without touching memory (Figure 6 of the paper).
-  VmStats Before = M.stats();
-  M.callAtIntOrDie(Spec, {3});
-  VmStats D = M.stats() - Before;
+  VmStats Before = M.vm().stats();
+  M.invokeOrDie<int32_t>(Spec, {3});
+  VmStats D = M.vm().stats() - Before;
   EXPECT_EQ(D.Loads, 0u);
 }
 
@@ -280,7 +284,7 @@ TEST(DeferredExec, MemoizedSelfTailCallBuildsCyclicCode) {
     Acc += (Pc % 4) + 1;
     Pc = (Pc + 1) % 4;
   }
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {0}), Acc);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {0}), Acc);
   // Generation terminated: exactly 4 specializations of `step` exist.
   uint64_t Gen = M.instructionsGenerated();
   M.specializeOrDie("step", {Prog, 1});
@@ -300,9 +304,9 @@ TEST(DeferredExec, NonTailStagedCallLazySpecialization) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("try", {10, 5});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {20}), 20); // first branch hits
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {7}), 7);   // second branch hits
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {3}), 0);   // both fail
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {20}), 20); // first branch hits
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {7}), 7);   // second branch hits
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {3}), 0);   // both fail
 }
 
 TEST(DeferredExec, LateCallToUnstagedFunction) {
@@ -312,7 +316,7 @@ TEST(DeferredExec, LateCallToUnstagedFunction) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {3});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {7}), 73 + 37);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {7}), 73 + 37);
 }
 
 TEST(DeferredExec, EarlyCallExecutedByGenerator) {
@@ -324,9 +328,9 @@ TEST(DeferredExec, EarlyCallExecutedByGenerator) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {9});
-  VmStats Before = M.stats();
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), 82);
-  VmStats D = M.stats() - Before;
+  VmStats Before = M.vm().stats();
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), 82);
+  VmStats D = M.vm().stats() - Before;
   // Executed code: the embedded constant, an add, a return plus host-call
   // glue; no call to square.
   EXPECT_LT(D.Executed, 10u);
@@ -340,7 +344,7 @@ TEST(DeferredExec, LateDatatypeAllocation) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {5});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {2}), 7 * 1000 + 10);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {2}), 7 * 1000 + 10);
 }
 
 TEST(DeferredExec, LateVectorWriteAndAlloc) {
@@ -352,7 +356,7 @@ TEST(DeferredExec, LateVectorWriteAndAlloc) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {4});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {7}), 7 + 99);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {7}), 7 + 99);
 }
 
 TEST(DeferredExec, StagedRealArithmetic) {
@@ -361,9 +365,9 @@ TEST(DeferredExec, StagedRealArithmetic) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("axpy", {std::bit_cast<uint32_t>(2.5f)});
-  ExecResult R = M.callAt(Spec, {std::bit_cast<uint32_t>(4.0f),
-                                 std::bit_cast<uint32_t>(1.0f)});
-  EXPECT_FLOAT_EQ(std::bit_cast<float>(R.V0), 11.0f);
+  EXPECT_FLOAT_EQ(M.invokeOrDie<float>(Spec, {std::bit_cast<uint32_t>(4.0f),
+                                               std::bit_cast<uint32_t>(1.0f)}),
+                  11.0f);
 }
 
 TEST(DeferredExec, SparseStrengthReduction) {
@@ -391,7 +395,7 @@ TEST(DeferredExec, SparseStrengthReduction) {
   // And both compute correct results.
   uint32_t Ones = M.heap().vector(std::vector<int32_t>(32, 1));
   uint32_t SpecS = M.specializeOrDie("loop", {VS, 0, 32});
-  EXPECT_EQ(M.callAtIntOrDie(SpecS, {Ones, 0}), 6);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(SpecS, {Ones, 0}), 6);
 }
 
 //===----------------------------------------------------------------------===//
@@ -428,7 +432,8 @@ TEST_P(DeferredEquivalence, MatchesPlainMode) {
     ArgsP.push_back(S);
     ArgsD.push_back(S);
   }
-  EXPECT_EQ(MPlain.callIntOrDie(TC.Fn, ArgsP), MDef.callIntOrDie(TC.Fn, ArgsD))
+  EXPECT_EQ(MPlain.invokeOrDie<int32_t>(TC.Fn, ArgsP),
+            MDef.invokeOrDie<int32_t>(TC.Fn, ArgsD))
       << TC.Name;
 }
 
@@ -495,8 +500,8 @@ TEST(DeferredEquivalence, MinScanNeedsDriver) {
   Compilation CDef = compileOrDie(Src, FabiusOptions::deferred());
   Machine MPlain(CPlain.Unit), MDef(CDef.Unit);
   std::vector<int32_t> V = {5, 3, 8, 1, 9, 4};
-  EXPECT_EQ(MPlain.callIntOrDie("run", {MPlain.heap().vector(V)}),
-            MDef.callIntOrDie("run", {MDef.heap().vector(V)}));
+  EXPECT_EQ(MPlain.invokeOrDie<int32_t>("run", {MPlain.heap().vector(V)}),
+            MDef.invokeOrDie<int32_t>("run", {MDef.heap().vector(V)}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -525,7 +530,7 @@ TEST_P(DeferredAblation, DotProductStillCorrect) {
   Machine M(C.Unit);
   uint32_t V1 = M.heap().vector({11, 22, 33});
   uint32_t V2 = M.heap().vector({2, 3, 4});
-  EXPECT_EQ(M.callIntOrDie("dotprod", {V1, V2}), 22 + 66 + 132);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 22 + 66 + 132);
   EXPECT_EQ(M.vm().coherenceViolations(), 0u);
 }
 
@@ -545,7 +550,8 @@ TEST(DeferredExec, LateBitwiseOps) {
   Compilation CD = compileOrDie(Src, FabiusOptions::deferred());
   Machine MP(CP.Unit), MD(CD.Unit);
   for (uint32_t X : {0u, 0xABCDu, 0xFFFF0000u})
-    EXPECT_EQ(MP.callIntOrDie("f", {3, X}), MD.callIntOrDie("f", {3, X}));
+    EXPECT_EQ(MP.invokeOrDie<int32_t>("f", {3, X}),
+              MD.invokeOrDie<int32_t>("f", {3, X}));
 }
 
 TEST(DeferredExec, EarlyBitwiseDecoding) {
@@ -560,8 +566,8 @@ TEST(DeferredExec, EarlyBitwiseDecoding) {
   Machine M(C.Unit);
   uint32_t Add5 = (1u << 16) | 5;
   uint32_t Sub3 = (2u << 16) | 3;
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("f", {Add5}), {100}), 105);
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("f", {Sub3}), {100}), 97);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("f", {Add5}), {100}), 105);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("f", {Sub3}), {100}), 97);
 }
 
 TEST(DeferredExec, AutomaticRunTimeStrengthReduction) {
@@ -587,7 +593,7 @@ TEST(DeferredExec, AutomaticRunTimeStrengthReduction) {
   uint64_t SparseWords = M.instructionsGenerated() - G1;
   EXPECT_LT(SparseWords * 3, DenseWords);
   uint32_t Ones = M.heap().vector(std::vector<int32_t>(32, 1));
-  EXPECT_EQ(M.callAtIntOrDie(SpecS, {Ones, 0}), 7);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(SpecS, {Ones, 0}), 7);
 
   // With the optimization disabled the sparse code is as big as dense.
   FabiusOptions Off = FabiusOptions::deferred();
@@ -605,7 +611,7 @@ TEST(DeferredExec, AutomaticRunTimeStrengthReduction) {
   EXPECT_EQ(SparseOff, DenseOff);
   uint32_t Ones2 = M2.heap().vector(std::vector<int32_t>(32, 1));
   uint32_t SpecS2 = M2.specializeOrDie("loop", {VS2, 0, 32});
-  EXPECT_EQ(M2.callAtIntOrDie(SpecS2, {Ones2, 0}), 7);
+  EXPECT_EQ(M2.invokeOrDie<int32_t>(SpecS2, {Ones2, 0}), 7);
 }
 
 TEST(DeferredExec, StrengthReductionRealAccumulation) {
@@ -614,49 +620,32 @@ TEST(DeferredExec, StrengthReductionRealAccumulation) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t SpecZ = M.specializeOrDie("axpyacc", {std::bit_cast<uint32_t>(0.0f)});
-  ExecResult R = M.callAt(SpecZ, {std::bit_cast<uint32_t>(5.0f),
-                                  std::bit_cast<uint32_t>(2.5f)});
-  EXPECT_FLOAT_EQ(std::bit_cast<float>(R.V0), 2.5f);
+  EXPECT_FLOAT_EQ(M.invokeOrDie<float>(SpecZ, {std::bit_cast<uint32_t>(5.0f),
+                                                std::bit_cast<uint32_t>(2.5f)}),
+                  2.5f);
   uint32_t Spec2 = M.specializeOrDie("axpyacc", {std::bit_cast<uint32_t>(2.0f)});
-  ExecResult R2 = M.callAt(Spec2, {std::bit_cast<uint32_t>(5.0f),
-                                   std::bit_cast<uint32_t>(2.5f)});
-  EXPECT_FLOAT_EQ(std::bit_cast<float>(R2.V0), 12.5f);
+  EXPECT_FLOAT_EQ(M.invokeOrDie<float>(Spec2, {std::bit_cast<uint32_t>(5.0f),
+                                                std::bit_cast<uint32_t>(2.5f)}),
+                  12.5f);
 }
 
-TEST(DeferredExec, JumpThreadingPreservesSemanticsAndShortensPaths) {
+TEST(DeferredExec, MemoizedSelfCallJumpChainPreservesSemantics) {
   // A staged forward-jump chain: memoized self calls produce emitted
-  // jumps between specializations; threading must preserve results and
-  // never lengthen execution.
+  // jumps between specializations, patched after each callee's
+  // generator returns.
   const char *Src =
       "fun hop (prog : int vector, pc) (acc : int) =\n"
       "  if pc >= length prog then acc\n"
       "  else if prog sub pc = 0 then hop (prog, pc + 1) (acc)\n"
       "  else hop (prog, pc + 1) (acc + prog sub pc)";
-  FabiusOptions Base = FabiusOptions::deferred();
-  Base.Backend.MemoizedSelfCalls.insert("hop");
-  FabiusOptions Threaded = Base;
-  Threaded.Backend.ThreadJumps = true;
-
-  for (auto *Opts : {&Base, &Threaded}) {
-    Compilation C = compileOrDie(Src, *Opts);
-    Machine M(C.Unit);
-    uint32_t P = M.heap().vector({0, 5, 0, 0, 7, 1});
-    uint32_t Spec = M.specializeOrDie("hop", {P, 0});
-    EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 113);
-    EXPECT_EQ(M.vm().coherenceViolations(), 0u);
-  }
-
-  // Threaded execution runs at most as many dynamic instructions.
-  auto DynCost = [&](const FabiusOptions &O) {
-    Compilation C = compileOrDie(Src, O);
-    Machine M(C.Unit);
-    uint32_t P = M.heap().vector({0, 0, 0, 0, 0, 9});
-    uint32_t Spec = M.specializeOrDie("hop", {P, 0});
-    VmStats B = M.stats();
-    M.callAtIntOrDie(Spec, {1});
-    return (M.stats() - B).ExecutedDynamic;
-  };
-  EXPECT_LE(DynCost(Threaded), DynCost(Base));
+  FabiusOptions Opts = FabiusOptions::deferred();
+  Opts.Backend.MemoizedSelfCalls.insert("hop");
+  Compilation C = compileOrDie(Src, Opts);
+  Machine M(C.Unit);
+  uint32_t P = M.heap().vector({0, 5, 0, 0, 7, 1});
+  uint32_t Spec = M.specializeOrDie("hop", {P, 0});
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 113);
+  EXPECT_EQ(M.vm().coherenceViolations(), 0u);
 }
 
 TEST(DeferredExec, TailCallBetweenDistinctStagedFunctions) {
@@ -668,12 +657,12 @@ TEST(DeferredExec, TailCallBetweenDistinctStagedFunctions) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("g", {10, 3});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {5}), (5 + 10) * 3);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {5}), (5 + 10) * 3);
   // h's specialization is shared through its own memo table.
   uint64_t Gen = M.instructionsGenerated();
   uint32_t SpecH = M.specializeOrDie("h", {3});
   EXPECT_EQ(M.instructionsGenerated(), Gen);
-  EXPECT_EQ(M.callAtIntOrDie(SpecH, {7}), 21);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(SpecH, {7}), 21);
 }
 
 TEST(DeferredExec, MutuallyRecursiveStagedFunctions) {
@@ -685,8 +674,8 @@ TEST(DeferredExec, MutuallyRecursiveStagedFunctions) {
       "else even (n - 1) (x)";
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("even", {6}), {42}), 42);
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("even", {7}), {42}), -42);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("even", {6}), {42}), 42);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("even", {7}), {42}), -42);
 }
 
 TEST(DeferredExec, LateCaseInValuePosition) {
@@ -702,9 +691,9 @@ TEST(DeferredExec, LateCaseInValuePosition) {
   uint32_t Av = M.heap().cell(0, {7});
   uint32_t Bv = M.heap().cell(1, {3, 4});
   uint32_t Cv = M.heap().cell(2, {});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {Av, 1000}), 1000 + 107);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {Bv, 1000}), 1000 + 12);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {Cv, 1000}), 1000 - 100);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {Av, 1000}), 1000 + 107);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {Bv, 1000}), 1000 + 12);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {Cv, 1000}), 1000 - 100);
 }
 
 TEST(DeferredExec, EarlyCaseInValuePosition) {
@@ -716,8 +705,8 @@ TEST(DeferredExec, EarlyCaseInValuePosition) {
   Machine M(C.Unit);
   uint32_t Lin = M.heap().cell(0, {5});
   uint32_t Quad = M.heap().cell(1, {2});
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("f", {Lin}), {10}), 51);
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("f", {Quad}), {10}), 201);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("f", {Lin}), {10}), 51);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("f", {Quad}), {10}), 201);
 }
 
 TEST(DeferredExec, LazyCallInsideLoopedGenerator) {
@@ -731,7 +720,7 @@ TEST(DeferredExec, LazyCallInsideLoopedGenerator) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("rep", {7, 0, 5});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), 1 + 7 * 5);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), 1 + 7 * 5);
 }
 
 TEST(DeferredDiagnostics, TooManyEmittedCallArgsRejected) {
@@ -761,7 +750,7 @@ TEST(DeferredExec, WrapperHandlesStackArguments) {
       "fun f (k : int, m : int) (a, b, c, d) = k * a + m * b + c - d";
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
-  EXPECT_EQ(M.callIntOrDie("f", {2, 3, 10, 20, 30, 40}),
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {2, 3, 10, 20, 30, 40}),
             2 * 10 + 3 * 20 + 30 - 40);
 }
 
@@ -770,7 +759,7 @@ TEST(DeferredExec, UnitParameterGroups) {
                     "fun g () (x : int) = x + 1";
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
-  EXPECT_EQ(M.callIntOrDie("f", {21}), 42);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {21}), 42);
   uint32_t SpecG = M.specializeOrDie("g", {});
-  EXPECT_EQ(M.callAtIntOrDie(SpecG, {41}), 42);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(SpecG, {41}), 42);
 }

@@ -20,7 +20,7 @@ int32_t runInt(const std::string &Src, const std::string &Fn,
                const std::vector<uint32_t> &Args) {
   Compilation C = compileOrDie(Src, FabiusOptions::plain());
   Machine M(C.Unit);
-  return M.callIntOrDie(Fn, Args);
+  return M.invokeOrDie<int32_t>(Fn, Args);
 }
 
 } // namespace
@@ -108,7 +108,7 @@ TEST(PlainExec, VectorSubscriptAndLength) {
       FabiusOptions::plain());
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({10, 20, 30});
-  EXPECT_EQ(M.callIntOrDie("f", {V, 1}), 20 + 3);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {V, 1}), 20 + 3);
 }
 
 TEST(PlainExec, BoundsCheckTraps) {
@@ -116,19 +116,23 @@ TEST(PlainExec, BoundsCheckTraps) {
                                FabiusOptions::plain());
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({1, 2});
-  ExecResult R = M.call("f", {V, 2});
-  EXPECT_EQ(R.Reason, StopReason::Trapped);
-  EXPECT_EQ(R.TrapValue, static_cast<uint32_t>(TrapCode::Bounds));
-  ExecResult R2 = M.call("f", {V, static_cast<uint32_t>(-1)});
-  EXPECT_EQ(R2.Reason, StopReason::Trapped);
+  FabResult<int32_t> R = M.invoke<int32_t>("f", {V, 2});
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Exec.Reason, StopReason::Trapped);
+  EXPECT_EQ(R.error().Exec.TrapValue, static_cast<uint32_t>(TrapCode::Bounds));
+  FabResult<int32_t> R2 =
+      M.invoke<int32_t>("f", {V, static_cast<uint32_t>(-1)});
+  ASSERT_FALSE(R2.ok());
+  EXPECT_EQ(R2.error().Exec.Reason, StopReason::Trapped);
 }
 
 TEST(PlainExec, DivideByZeroTraps) {
   Compilation C = compileOrDie("fun f (x, y) = x div y",
                                FabiusOptions::plain());
   Machine M(C.Unit);
-  ExecResult R = M.call("f", {1, 0});
-  EXPECT_EQ(R.Reason, StopReason::Trapped);
+  FabResult<int32_t> R = M.invoke<int32_t>("f", {1, 0});
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Exec.Reason, StopReason::Trapped);
 }
 
 TEST(PlainExec, MkVecAndVSet) {
@@ -166,8 +170,8 @@ TEST(PlainExec, CaseVarBindsScrutinee) {
   Machine M(C.Unit);
   uint32_t BCell = M.heap().cell(1, {42});
   uint32_t ACell = M.heap().cell(0, {});
-  EXPECT_EQ(M.callIntOrDie("g", {BCell}), 42);
-  EXPECT_EQ(M.callIntOrDie("g", {ACell}), 77);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("g", {BCell}), 42);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("g", {ACell}), 77);
 }
 
 TEST(PlainExec, MatchFailureTraps) {
@@ -176,9 +180,11 @@ TEST(PlainExec, MatchFailureTraps) {
   Compilation C = compileOrDie(Src, FabiusOptions::plain());
   Machine M(C.Unit);
   uint32_t Bogus = M.heap().cell(9, {});
-  ExecResult R = M.call("f", {Bogus});
-  EXPECT_EQ(R.Reason, StopReason::Trapped);
-  EXPECT_EQ(R.TrapValue, static_cast<uint32_t>(TrapCode::MatchFail));
+  FabResult<int32_t> R = M.invoke<int32_t>("f", {Bogus});
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Exec.Reason, StopReason::Trapped);
+  EXPECT_EQ(R.error().Exec.TrapValue,
+            static_cast<uint32_t>(TrapCode::MatchFail));
 }
 
 TEST(PlainExec, RealArithmetic) {
@@ -187,8 +193,8 @@ TEST(PlainExec, RealArithmetic) {
   Machine M(C.Unit);
   uint32_t X = std::bit_cast<uint32_t>(3.0f);
   uint32_t Y = std::bit_cast<uint32_t>(2.0f);
-  ExecResult R = M.call("f", {X, Y});
-  EXPECT_FLOAT_EQ(std::bit_cast<float>(R.V0), (3.0f + 2.0f) * 3.0f / 2.0f);
+  EXPECT_FLOAT_EQ(M.invokeOrDie<float>("f", {X, Y}),
+                  (3.0f + 2.0f) * 3.0f / 2.0f);
 }
 
 TEST(PlainExec, RealComparisonsAndConversion) {
@@ -201,8 +207,8 @@ TEST(PlainExec, RealComparisonsAndConversion) {
 TEST(PlainExec, RealNegation) {
   Compilation C = compileOrDie("fun f (x : real) = ~x", FabiusOptions::plain());
   Machine M(C.Unit);
-  ExecResult R = M.call("f", {std::bit_cast<uint32_t>(2.5f)});
-  EXPECT_FLOAT_EQ(std::bit_cast<float>(R.V0), -2.5f);
+  EXPECT_FLOAT_EQ(M.invokeOrDie<float>("f", {std::bit_cast<uint32_t>(2.5f)}),
+                  -2.5f);
 }
 
 TEST(PlainExec, CurriedFunctionCollapsesInPlainMode) {
@@ -215,7 +221,7 @@ TEST(PlainExec, CurriedFunctionCollapsesInPlainMode) {
   Machine M(C.Unit);
   uint32_t V1 = M.heap().vector({1, 2, 3});
   uint32_t V2 = M.heap().vector({4, 5, 6});
-  EXPECT_EQ(M.callIntOrDie("dotprod", {V1, V2}), 4 + 10 + 18);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 4 + 10 + 18);
 }
 
 TEST(PlainExec, VectorOfVectors) {
@@ -227,7 +233,7 @@ TEST(PlainExec, VectorOfVectors) {
   uint32_t Row1 = M.heap().vector({3, 4});
   uint32_t Mx = M.heap().vector({static_cast<int32_t>(Row0),
                                  static_cast<int32_t>(Row1)});
-  EXPECT_EQ(M.callIntOrDie("f", {Mx, 1, 0}), 3);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {Mx, 1, 0}), 3);
 }
 
 TEST(PlainExec, DeepExpressionSpilling) {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 
@@ -93,7 +94,8 @@ TEST(CachePolicy, DoorkeeperResistsOneShotScan) {
     EXPECT_TRUE(Cache.lookup(intKey(K), 0).has_value());
 
   // A plain LRU of the same capacity loses everything to the same scan.
-  SpecCache Lru(4);
+  P.Admission = false;
+  SpecCache Lru(P);
   for (int32_t K = 1; K <= 4; ++K)
     Lru.insert(intKey(K), 0x100u * K, 0);
   for (int32_t K = 100; K < 200; ++K)
@@ -397,6 +399,54 @@ TEST(CachePolicy, WorkerCountMismatchColdStartsGracefully) {
   EXPECT_EQ(St.Cache.WarmRestored, 0u);
   EXPECT_GT(St.Memo.GeneratorRuns, 0u);
   EXPECT_EQ(St.Errors, 0u);
+  std::remove(Path.c_str());
+}
+
+// The save goes through a temp file and a rename: when the temp file
+// cannot be written, the save fails and the live file is untouched.
+TEST(CachePolicy, FailedSaveLeavesPreviousFileIntact) {
+  Compilation C = compileOrDie(workloads::MatmulSrc, FabiusOptions::deferred());
+  std::string Path = testing::TempDir() + "cache_policy_atomic.fabc";
+  std::string Tmp = Path + ".tmp";
+  std::remove(Path.c_str());
+  std::filesystem::remove_all(Tmp);
+  {
+    ServerOptions SO;
+    SO.Pool.Workers = 1;
+    SO.Pool.Cache.SaveFile = Path;
+    SpecServer S(C, SO);
+    playAll(S, dotWorkload());
+    S.shutdown();
+  }
+  EXPECT_FALSE(std::filesystem::exists(Tmp));
+  const uint64_t Fp = compilationFingerprint(C);
+  std::optional<CacheFile> Saved = loadCacheFile(Path, Fp);
+  ASSERT_TRUE(Saved);
+  ASSERT_EQ(Saved->Workers.size(), 1u);
+  const std::vector<WorkerImage::EntryRow> &Entries = Saved->Workers[0].Entries;
+  ASSERT_FALSE(Entries.empty());
+
+  // A directory where the temp file goes: opening it fails for any user.
+  ASSERT_TRUE(std::filesystem::create_directory(Tmp));
+  CacheFile Other = *Saved;
+  Other.Fingerprint = Fp + 1;
+  Other.Workers[0].Entries.clear();
+  EXPECT_FALSE(saveCacheFile(Path, Other));
+
+  std::optional<CacheFile> Again = loadCacheFile(Path, Fp);
+  ASSERT_TRUE(Again);
+  EXPECT_EQ(Again->Fingerprint, Fp);
+  ASSERT_EQ(Again->Workers.size(), 1u);
+  const std::vector<WorkerImage::EntryRow> &Kept = Again->Workers[0].Entries;
+  ASSERT_EQ(Kept.size(), Entries.size());
+  for (size_t I = 0; I < Kept.size(); ++I) {
+    EXPECT_EQ(Kept[I].Fn, Entries[I].Fn);
+    EXPECT_EQ(Kept[I].Words, Entries[I].Words);
+    EXPECT_EQ(Kept[I].Addr, Entries[I].Addr);
+    EXPECT_EQ(Kept[I].Bytes, Entries[I].Bytes);
+    EXPECT_EQ(Kept[I].Pinned, Entries[I].Pinned);
+  }
+  std::filesystem::remove_all(Tmp);
   std::remove(Path.c_str());
 }
 

@@ -158,6 +158,7 @@ void runChaos(uint64_t Seed) {
         if (I >= Reqs.size())
           return;
         SubmitOptions O;
+        O.MaxRetries = 1;
         if (I % 3 == 1)
           O.DeadlineNs = 25'000'000; // 25 ms
         Futures[I] = S.submit(Reqs[I].Fn, Reqs[I].Early, Reqs[I].Late, O);

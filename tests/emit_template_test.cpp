@@ -42,7 +42,7 @@ EmissionResult runWorkload(const char *Src, bool Templates,
   for (uint32_t Off = 0; Off < Used; Off += 4)
     Out.DynWords.push_back(M.vm().load32(layout::DynCodeBase + Off));
   Out.TemplateWords = C.Unit.TemplateData.size();
-  Out.Executed = M.stats().Executed;
+  Out.Executed = M.vm().stats().Executed;
   return Out;
 }
 
@@ -128,8 +128,8 @@ TEST(EmitTemplates, TemplateRunUnderOpenBranchHole) {
       " else x - k";
   auto [On, Off] = expectDynIdentical(Src, [](Machine &M) {
     uint32_t Spec = M.specializeOrDie("f", {5});
-    EXPECT_EQ(M.callAtIntOrDie(Spec, {static_cast<uint32_t>(-3)}), 0);
-    EXPECT_EQ(M.callAtIntOrDie(Spec, {7}), 2);
+    EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {static_cast<uint32_t>(-3)}), 0);
+    EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {7}), 2);
   });
   // The run under the hole must actually have become a template.
   EXPECT_GT(On.TemplateWords, 0u);
@@ -159,9 +159,9 @@ TEST(EmitTemplates, TemplateRunsAcrossLoopHeadGuards) {
     Machine M(C.Unit);
     uint32_t S = M.heap().cell(0, {});
     for (int32_t E = 63; E >= 0; --E)
-      S = M.heap().cell(1, {E * 7, S});
-    EXPECT_EQ(M.callIntOrDie("member", {S, 7 * 13}), 1);
-    EXPECT_EQ(M.callIntOrDie("member", {S, 5}), 0);
+      S = M.heap().cell(1, {static_cast<uint32_t>(E * 7), S});
+    EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 7 * 13}), 1);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 5}), 0);
     uint32_t Used = M.codeSpaceUsed();
     for (uint32_t O = 0; O < Used; O += 4)
       Dyn[I].push_back(M.vm().load32(layout::DynCodeBase + O));

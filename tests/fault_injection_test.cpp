@@ -85,7 +85,7 @@ TEST(FaultInjection, EveryFaultKindSurfacesThroughSpecialize) {
     // (no auto-recovery in this test) the machine works again.
     M.resetCodeSpace();
     uint32_t Spec = M.specializeOrDie("f", {7});
-    EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+    EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
   }
 }
 
@@ -133,7 +133,7 @@ TEST(FaultInjection, InjectedPressureIsTransparentlyRecovered) {
   M.vm().injectFault(FI);
 
   uint32_t Spec = M.specializeOrDie("f", {9});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {10}), 99);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {10}), 99);
   EXPECT_EQ(M.telemetry().Recovery.FaultResets, 1u);
   EXPECT_EQ(M.telemetry().Recovery.RecoveredRetries, 1u);
   EXPECT_EQ(M.telemetry().Recovery.GeneratorFaults, 0u);
@@ -146,7 +146,7 @@ TEST(FaultInjection, InjectedPressureIsTransparentlyRecovered) {
 TEST(StructuredErrors, UnknownFunction) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit);
-  FabResult<int32_t> R = M.callInt("nope", {1, 2});
+  FabResult<int32_t> R = M.invoke<int32_t>("nope", {1, 2});
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.error().Code, FabErrc::UnknownFunction);
   FabResult<uint32_t> S = M.specialize("nope", {1});
@@ -162,13 +162,13 @@ TEST(StructuredErrors, GeneratedCodeTrapReportsWithoutManualRepair) {
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({1, 2, 3});
   uint32_t Spec = M.specializeOrDie("f", {V});
-  FabResult<int32_t> R = M.callAtInt(Spec, {99});
+  FabResult<int32_t> R = M.invoke<int32_t>(Spec, {99});
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.error().Code, FabErrc::Trapped);
   EXPECT_EQ(R.error().Exec.TrapValue, static_cast<uint32_t>(TrapCode::Bounds));
   EXPECT_EQ(M.vm().reg(Sp), layout::StackTop);
   EXPECT_EQ(M.telemetry().Recovery.GeneratorFaults, 0u);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), 2);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), 2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -192,7 +192,8 @@ TEST(FuelExhaustion, MidGenerationIsRecoverableAfterReset) {
   M.resetCodeSpace();
   uint32_t Spec = M.specializeOrDie("loop", {V1, 0, 8});
   uint32_t V2 = M.heap().vector({1, 1, 1, 1, 1, 1, 1, 1});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V2, 0}), 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V2, 0}),
+            1 + 2 + 3 + 4 + 5 + 6 + 7 + 8);
 }
 
 //===----------------------------------------------------------------------===//
@@ -220,7 +221,7 @@ TEST(CodeSpaceRecovery, GuardPressureAutoResetsAndRetries) {
     uint32_t V1 = M.heap().vector(Vals);
     uint32_t Spec = M.specializeOrDie("loop", {V1, 0, 200});
     uint32_t V2 = M.heap().vector(Ones);
-    ASSERT_EQ(M.callAtIntOrDie(Spec, {V2, 0}), Expected) << Round;
+    ASSERT_EQ(M.invokeOrDie<int32_t>(Spec, {V2, 0}), Expected) << Round;
   }
   // ~4 KB per specialization against a 32 KB segment: several resets
   // happened, every one recovered transparently.
@@ -244,7 +245,7 @@ TEST(CodeSpaceRecovery, HighWatermarkResetsPreemptively) {
   // specialization starts back at the base.
   EXPECT_EQ(S2, layout::DynCodeBase);
   EXPECT_GT(M.telemetry().Recovery.WatermarkResets, 0u);
-  EXPECT_EQ(M.callAtIntOrDie(S2, {10}), 33);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(S2, {10}), 33);
 }
 
 //===----------------------------------------------------------------------===//
@@ -271,19 +272,19 @@ TEST(Degradation, RepeatedGeneratorFaultsFallBackToPlain) {
 
   // Exponential over-specialization: the generator traps even after a
   // reset-and-retry, so each call is an unrecovered generator fault.
-  FabResult<int32_t> R1 = M.callInt("scan", Args);
+  FabResult<int32_t> R1 = M.invoke<int32_t>("scan", Args);
   ASSERT_FALSE(R1.ok());
   EXPECT_EQ(R1.error().Code, FabErrc::CodeSpaceExhausted);
   EXPECT_FALSE(M.degraded());
 
-  FabResult<int32_t> R2 = M.callInt("scan", Args);
+  FabResult<int32_t> R2 = M.invoke<int32_t>("scan", Args);
   ASSERT_FALSE(R2.ok());
   EXPECT_TRUE(M.degraded());
   EXPECT_EQ(M.telemetry().Recovery.GeneratorFaults, 2u);
 
   // Degraded: the same name now runs the Plain (non-RTCG) image and
   // produces the correct result.
-  FabResult<int32_t> R3 = M.callInt("scan", Args);
+  FabResult<int32_t> R3 = M.invoke<int32_t>("scan", Args);
   ASSERT_TRUE(R3.ok());
   EXPECT_EQ(*R3, 2);
   EXPECT_GT(M.telemetry().Recovery.PlainFallbackCalls, 0u);
@@ -301,7 +302,7 @@ TEST(Degradation, FallbackImageMatchesStagedResultsBeforeDegrading) {
   Machine M(C);
   uint32_t V1 = M.heap().vector({3, 1, 4});
   uint32_t V2 = M.heap().vector({2, 7, 1});
-  FabResult<int32_t> R = M.callInt("loop", {V1, 0, 3, V2, 0});
+  FabResult<int32_t> R = M.invoke<int32_t>("loop", {V1, 0, 3, V2, 0});
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(*R, 3 * 2 + 1 * 7 + 4 * 1);
   EXPECT_FALSE(M.degraded());

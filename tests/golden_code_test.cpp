@@ -51,9 +51,9 @@ TEST(GoldenCode, DotProductElementShape) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t V1 = M.heap().vector({2});
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   uint32_t Spec = M.specializeOrDie("loop", {V1, 0, 1});
-  uint64_t Words = (M.stats() - Before).DynWordsWritten;
+  uint64_t Words = (M.vm().stats() - Before).DynWordsWritten;
 
   // One element: residualized constant, bounds check, load, multiply,
   // accumulate in place, return — the paper's listing plus the subscript
@@ -84,9 +84,9 @@ TEST(GoldenCode, ExecutableAssocListShape) {
   Machine M(C.Unit);
   uint32_t L = M.heap().cell(0, {});
   L = M.heap().cell(1, {7, 700, L});
-  VmStats Before = M.stats();
+  VmStats Before = M.vm().stats();
   uint32_t Spec = M.specializeOrDie("lookup", {L});
-  uint64_t Words = (M.stats() - Before).DynWordsWritten;
+  uint64_t Words = (M.vm().stats() - Before).DynWordsWritten;
 
   // Figure 6: compare with the embedded key; hit returns the embedded
   // value; miss falls through to the embedded default. Zero loads.
@@ -110,9 +110,9 @@ TEST(GoldenCode, ResidualizationSelectsImmediateForms) {
   Machine M(C.Unit);
 
   // Small constant: single addiu.
-  VmStats B0 = M.stats();
+  VmStats B0 = M.vm().stats();
   uint32_t SpecSmall = M.specializeOrDie("f", {5});
-  uint64_t SmallWords = (M.stats() - B0).DynWordsWritten;
+  uint64_t SmallWords = (M.vm().stats() - B0).DynWordsWritten;
   std::vector<std::string> ExpectSmall = {
       "addiu $t0, $zero, 5",
       "addu $t0, $a0, $t0",
@@ -123,9 +123,9 @@ TEST(GoldenCode, ResidualizationSelectsImmediateForms) {
   EXPECT_EQ(disasmSpec(M, SpecSmall, SmallWords), ExpectSmall);
 
   // Large constant: lui + ori.
-  VmStats B1 = M.stats();
+  VmStats B1 = M.vm().stats();
   uint32_t SpecBig = M.specializeOrDie("f", {0x123456});
-  uint64_t BigWords = (M.stats() - B1).DynWordsWritten;
+  uint64_t BigWords = (M.vm().stats() - B1).DynWordsWritten;
   std::vector<std::string> ExpectBig = {
       "lui $t0, 18",        // 0x12
       "ori $t0, $t0, 13398", // 0x3456
@@ -173,9 +173,9 @@ TEST(GoldenCode, GeneratorUsesTemplateCopyForConstantRun) {
   // shape here so the static-code golden cannot drift from the dynamic
   // contract.
   Machine MOn(C.Unit), MOff(COff.Unit);
-  VmStats B0 = MOn.stats();
+  VmStats B0 = MOn.vm().stats();
   uint32_t SpecOn = MOn.specializeOrDie("f", {5});
-  uint64_t Words = (MOn.stats() - B0).DynWordsWritten;
+  uint64_t Words = (MOn.vm().stats() - B0).DynWordsWritten;
   uint32_t SpecOff = MOff.specializeOrDie("f", {5});
   ASSERT_GE(Words, 15u);
   EXPECT_EQ(disasmSpec(MOn, SpecOn, Words), disasmSpec(MOff, SpecOff, Words));
@@ -186,9 +186,9 @@ TEST(GoldenCode, UnfoldedConditionalLeavesNoBranch) {
       "fun f (k : int) (x : int) = if k > 0 then x + k else x - k";
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
-  VmStats B = M.stats();
+  VmStats B = M.vm().stats();
   uint32_t Spec = M.specializeOrDie("f", {3});
-  uint64_t Words = (M.stats() - B).DynWordsWritten;
+  uint64_t Words = (M.vm().stats() - B).DynWordsWritten;
   // Only the taken arm exists; no compare, no branch.
   for (const std::string &Line : disasmSpec(M, Spec, Words)) {
     EXPECT_EQ(Line.find("beq"), std::string::npos) << Line;

@@ -13,9 +13,10 @@ TEST(MachineApi, CallWithStackArguments) {
       "fun f (a, b, c, d, e, g, h) = a + 2*b + 3*c + 4*d + 5*e + 6*g + 7*h",
       FabiusOptions::plain());
   Machine M(C.Unit);
-  EXPECT_EQ(M.callIntOrDie("f", {1, 1, 1, 1, 1, 1, 1}), 1 + 2 + 3 + 4 + 5 + 6 + 7);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {1, 1, 1, 1, 1, 1, 1}),
+            1 + 2 + 3 + 4 + 5 + 6 + 7);
   // Repeated calls re-seat the stack pointer correctly.
-  EXPECT_EQ(M.callIntOrDie("f", {7, 6, 5, 4, 3, 2, 1}),
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {7, 6, 5, 4, 3, 2, 1}),
             7 + 12 + 15 + 16 + 15 + 12 + 7);
 }
 
@@ -23,7 +24,8 @@ TEST(MachineApi, CallFloat) {
   Compilation C = compileOrDie("fun f (x : real) = x * 2.5 + 1.0",
                                FabiusOptions::plain());
   Machine M(C.Unit);
-  EXPECT_FLOAT_EQ(M.callFloatOrDie("f", {std::bit_cast<uint32_t>(4.0f)}), 11.0f);
+  EXPECT_FLOAT_EQ(M.invokeOrDie<float>("f", {std::bit_cast<uint32_t>(4.0f)}),
+                  11.0f);
 }
 
 TEST(MachineApi, CompileReportsDiagnosticsNotCrash) {
@@ -39,8 +41,8 @@ TEST(MachineApi, SeparateCompilationsAreIndependent) {
   Compilation C2 = compileOrDie("fun f (x : int) = x * 2",
                                 FabiusOptions::plain());
   Machine M1(C1.Unit), M2(C2.Unit);
-  EXPECT_EQ(M1.callIntOrDie("f", {10}), 11);
-  EXPECT_EQ(M2.callIntOrDie("f", {10}), 20);
+  EXPECT_EQ(M1.invokeOrDie<int32_t>("f", {10}), 11);
+  EXPECT_EQ(M2.invokeOrDie<int32_t>("f", {10}), 20);
 }
 
 TEST(MachineApi, HeapAndCallInterleave) {
@@ -53,7 +55,7 @@ TEST(MachineApi, HeapAndCallInterleave) {
   for (int Round = 1; Round <= 5; ++Round) {
     std::vector<int32_t> Vals(static_cast<size_t>(Round * 3), Round);
     uint32_t V = M.heap().vector(Vals);
-    EXPECT_EQ(M.callIntOrDie("total", {V}), Round * Round * 3);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("total", {V}), Round * Round * 3);
   }
 }
 
@@ -63,9 +65,9 @@ TEST(MachineApi, StatsAccumulateMonotonically) {
   Machine M(C.Unit);
   uint64_t Last = 0;
   for (uint32_t K = 0; K < 10; ++K) {
-    M.callIntOrDie("f", {K, 1});
-    EXPECT_GT(M.stats().Cycles, Last);
-    Last = M.stats().Cycles;
+    M.invokeOrDie<int32_t>("f", {K, 1});
+    EXPECT_GT(M.vm().stats().Cycles, Last);
+    Last = M.vm().stats().Cycles;
   }
   EXPECT_GT(M.instructionsGenerated(), 0u);
   EXPECT_GT(M.codeSpaceUsed(), 0u);

@@ -118,10 +118,10 @@ Outcome runInterp(const Compilation &C, const std::vector<uint32_t> &Args) {
 
 Outcome runMachine(const Compilation &C, const std::vector<uint32_t> &Args) {
   Machine M(C.Unit);
-  ExecResult R = M.call("f", Args);
-  if (!R.ok())
+  FabResult<uint32_t> R = M.invoke<uint32_t>("f", Args);
+  if (!R)
     return {true, 0};
-  return {false, R.V0};
+  return {false, *R};
 }
 
 } // namespace
@@ -207,8 +207,8 @@ TEST_P(FuzzStagedVector, ThreeWayAgreement) {
       std::vector<int32_t> SV(VV.begin(), VV.end()), SW(WW.begin(), WW.end());
       uint32_t MV = M.heap().vector(SV);
       uint32_t MW = M.heap().vector(SW);
-      ExecResult RR = M.call("f", {MV, IArg, MW, XArg});
-      return RR.ok() ? Outcome{false, RR.V0} : Outcome{true, 0};
+      FabResult<uint32_t> RR = M.invoke<uint32_t>("f", {MV, IArg, MW, XArg});
+      return RR ? Outcome{false, *RR} : Outcome{true, 0};
     };
     Outcome OP = RunVm(*Plain);
     Outcome OD = RunVm(*Def);
@@ -260,8 +260,8 @@ TEST_P(FuzzRecursive, ThreeWayAgreement) {
       uint32_t L = M.heap().cell(0, {});
       for (size_t I = Elems.size(); I-- > 0;)
         L = M.heap().cell(1, {Elems[I], L});
-      ExecResult RR = M.call("fold", {L, Acc, Z});
-      return RR.ok() ? Outcome{false, RR.V0} : Outcome{true, 0};
+      FabResult<uint32_t> RR = M.invoke<uint32_t>("fold", {L, Acc, Z});
+      return RR ? Outcome{false, *RR} : Outcome{true, 0};
     };
     EXPECT_EQ(OI, RunVm(*Plain)) << Src << "\ninterp vs plain";
     EXPECT_EQ(OI, RunVm(*Def)) << Src << "\ninterp vs deferred";

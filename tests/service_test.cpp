@@ -31,6 +31,14 @@ namespace {
 
 const char *SimpleSrc = "fun f (k : int) (x : int) = x * k + k";
 
+/// A plain LRU of \p Capacity: the admission doorkeeper is off.
+CachePolicy lruPolicy(size_t Capacity) {
+  CachePolicy P;
+  P.Capacity = Capacity;
+  P.Admission = false;
+  return P;
+}
+
 /// Matmul (dotloop/dotprod) plus the BPF interpreter (eval/runfilter) in
 /// one program: the service's mixed workload. Names are disjoint.
 std::string mixedSrc() {
@@ -102,7 +110,7 @@ FabResult<int32_t> baselineServe(Machine &M, const MixedRequest &Q) {
   FabResult<uint32_t> S = M.specialize(Q.Fn, materialize(Q.Early));
   if (!S)
     return S.error();
-  return M.callAtInt(*S, materialize(Q.Late));
+  return M.invoke<int32_t>(*S, materialize(Q.Late));
 }
 
 } // namespace
@@ -153,7 +161,7 @@ TEST(SpecKey, FromHeapMatchesHostValues) {
 //===----------------------------------------------------------------------===//
 
 TEST(SpecCache, HitMissLruEvictionAndPinning) {
-  SpecCache Cache(2);
+  SpecCache Cache(lruPolicy(2));
   SpecKey K1 = SpecKey::make("f", {Value::ofInt(1)});
   SpecKey K2 = SpecKey::make("f", {Value::ofInt(2)});
   SpecKey K3 = SpecKey::make("f", {Value::ofInt(3)});
@@ -185,7 +193,7 @@ TEST(SpecCache, HitMissLruEvictionAndPinning) {
 TEST(SpecCache, EpochInvalidationAfterResetCodeSpace) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit);
-  SpecCache Cache(16);
+  SpecCache Cache(lruPolicy(16));
   SpecKey K = SpecKey::make("f", {Value::ofInt(3)});
 
   EXPECT_EQ(M.codeEpoch(), 0u);
@@ -202,7 +210,7 @@ TEST(SpecCache, EpochInvalidationAfterResetCodeSpace) {
   uint32_t A2 = M.specializeOrDie("f", {3});
   Cache.insert(K, A2, M.codeEpoch());
   EXPECT_EQ(*Cache.lookup(K, M.codeEpoch()), A2);
-  EXPECT_EQ(M.callAtIntOrDie(A2, {10}), 33);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(A2, {10}), 33);
 }
 
 //===----------------------------------------------------------------------===//
@@ -265,7 +273,7 @@ TEST(SpecServer, EvictionUnderTinyCapacityStaysCorrect) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   ServerOptions SO;
   SO.Pool.Workers = 1;
-  SO.Pool.CacheCapacity = 2;
+  SO.Pool.Cache.Capacity = 2;
   // This exercises plain-LRU eviction; the admission doorkeeper would
   // (correctly) refuse the cycling keys and keep the first two resident.
   SO.Pool.Cache.Admission = false;
@@ -398,12 +406,12 @@ TEST(SpecServer, FaultInjectedWorkerDegradesWithoutStallingPool) {
   EXPECT_GT(Healthy, 0u);
   EXPECT_GT(Faulted, 0u);
 
-  WorkerStats W0 = S.workerStats(0);
-  EXPECT_TRUE(W0.Degraded);
+  TelemetrySnapshot W0 = S.workerStats(0);
+  EXPECT_EQ(W0.DegradedMachines, 1u);
   EXPECT_GE(W0.Recovery.GeneratorFaults, 2u);
   EXPECT_EQ(W0.Errors, Faulted);
-  WorkerStats W1 = S.workerStats(1);
-  EXPECT_FALSE(W1.Degraded);
+  TelemetrySnapshot W1 = S.workerStats(1);
+  EXPECT_EQ(W1.DegradedMachines, 0u);
   EXPECT_EQ(W1.Served, Healthy);
 }
 
@@ -541,6 +549,7 @@ TEST(SpecServer, DeadlineShedsLateWorkAtDequeue) {
   Entered.wait();
   SubmitOptions O;
   O.DeadlineNs = 2'000'000; // 2 ms
+  O.MaxRetries = 1;
   auto F1 = S.submit("f", {Value::ofInt(2)}, {Value::ofInt(5)}, O);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ReleaseP.set_value();

@@ -25,7 +25,7 @@ TEST(MemoStress, ManyDistinctSpecializations) {
     EXPECT_EQ(Spec % 16, 0u);
   }
   // Spot-check results and reuse.
-  EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("f", {7}), {100}), 707);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("f", {7}), {100}), 707);
   uint64_t Gen = M.instructionsGenerated();
   for (uint32_t K = 1; K <= 1500; ++K)
     M.specializeOrDie("f", {K});
@@ -45,7 +45,7 @@ TEST(MemoStress, CollidingKeysProbeCorrectly) {
     Addrs.insert(M.specializeOrDie("f", {K}));
   EXPECT_EQ(Addrs.size(), Keys.size());
   for (uint32_t K : Keys)
-    EXPECT_EQ(M.callAtIntOrDie(M.specializeOrDie("f", {K}), {1}),
+    EXPECT_EQ(M.invokeOrDie<int32_t>(M.specializeOrDie("f", {K}), {1}),
               static_cast<int32_t>(1 + K));
 }
 
@@ -81,7 +81,7 @@ TEST(MemoStress, MemoizedFsmStatesScaleWithProgram) {
   uint32_t P = M.heap().vector({1, 2, 3, 4, 5, 6, 7, 8});
   uint32_t Spec = M.specializeOrDie("step", {P, 0});
   uint64_t Gen = M.instructionsGenerated();
-  int32_t R = M.callAtIntOrDie(Spec, {0});
+  int32_t R = M.invokeOrDie<int32_t>(Spec, {0});
   EXPECT_GE(R, 1000000);
   EXPECT_EQ(M.instructionsGenerated(), Gen); // no generation at run time
 }
@@ -109,7 +109,8 @@ TEST(CodeSpace, LargeUnrollingsStayInBounds) {
   int64_t Expected = 0;
   for (int I = 0; I < 4000; ++I)
     Expected += Big[I];
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {V2, 0}), static_cast<int32_t>(Expected));
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {V2, 0}),
+            static_cast<int32_t>(Expected));
   EXPECT_EQ(M.vm().coherenceViolations(), 0u);
 }
 
@@ -129,8 +130,8 @@ TEST(CodeSpace, DeepGeneratorRecursionSurvives) {
     V[I] = I * 3;
   uint32_t Vv = M.heap().vector(V);
   uint32_t Spec = M.specializeOrDie("find", {Vv, 0, 3000});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {2500 * 3}), 2500);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), -1);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {2500 * 3}), 2500);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), -1);
 }
 
 TEST(CodeSpace, ExponentialOverSpecializationTrapsCleanly) {
@@ -166,8 +167,9 @@ TEST(Robustness, ManySequentialMachines) {
     Ms.push_back(std::make_unique<Machine>(C.Unit));
   for (int Round = 0; Round < 4; ++Round)
     for (int I = 0; I < 8; ++I)
-      EXPECT_EQ(Ms[I]->callIntOrDie("f", {static_cast<uint32_t>(I), 100}),
-                100 - I);
+      EXPECT_EQ(
+          Ms[I]->invokeOrDie<int32_t>("f", {static_cast<uint32_t>(I), 100}),
+          100 - I);
 }
 
 TEST(Robustness, TrapsDoNotCorruptLaterCalls) {
@@ -176,11 +178,11 @@ TEST(Robustness, TrapsDoNotCorruptLaterCalls) {
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({1, 2, 3});
   uint32_t Spec = M.specializeOrDie("f", {V});
-  EXPECT_FALSE(M.callAt(Spec, {9}).ok()); // bounds trap
+  EXPECT_FALSE(M.invoke<int32_t>(Spec, {9}).ok()); // bounds trap
   // The machine stays usable without manual repair: a failed run has its
   // $sp/$fp re-seated by the machine layer.
   EXPECT_EQ(M.vm().reg(Sp), layout::StackTop);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {1}), 2);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {1}), 2);
 }
 
 TEST(Robustness, GeneratedCodeRegionAccounting) {
@@ -188,9 +190,9 @@ TEST(Robustness, GeneratedCodeRegionAccounting) {
   Compilation C = compileOrDie(Src, FabiusOptions::deferred());
   Machine M(C.Unit);
   uint32_t Spec = M.specializeOrDie("f", {3});
-  VmStats B = M.stats();
-  M.callAtIntOrDie(Spec, {5});
-  VmStats D = M.stats() - B;
+  VmStats B = M.vm().stats();
+  M.invokeOrDie<int32_t>(Spec, {5});
+  VmStats D = M.vm().stats() - B;
   // Everything executed during the direct call runs from the dynamic
   // region (plus nothing static).
   EXPECT_EQ(D.ExecutedStatic, 0u);
@@ -212,10 +214,10 @@ TEST(CodeSpace, ResetReclaimsAndRegenerates) {
   // Fresh specializations reuse the reclaimed space from the base.
   uint32_t S3 = M.specializeOrDie("f", {5});
   EXPECT_EQ(S3, layout::DynCodeBase);
-  EXPECT_EQ(M.callAtIntOrDie(S3, {10}), 51);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(S3, {10}), 51);
   // The memo works again after the wipe, including for old keys.
   uint32_t S4 = M.specializeOrDie("f", {3});
-  EXPECT_EQ(M.callAtIntOrDie(S4, {10}), 31);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(S4, {10}), 31);
   uint64_t Gen = M.instructionsGenerated();
   EXPECT_EQ(M.specializeOrDie("f", {3}), S4);
   EXPECT_EQ(M.instructionsGenerated(), Gen);
@@ -231,7 +233,7 @@ TEST(CodeSpace, RepeatedResetCyclesStayCoherent) {
   for (int Cycle = 0; Cycle < 20; ++Cycle) {
     for (uint32_t K = 1; K <= 30; ++K) {
       uint32_t Spec = M.specializeOrDie("f", {K + 100u * Cycle});
-      ASSERT_EQ(M.callAtIntOrDie(Spec, {7}),
+      ASSERT_EQ(M.invokeOrDie<int32_t>(Spec, {7}),
                 static_cast<int32_t>(7 + (K + 100u * Cycle) *
                                              (K + 100u * Cycle)));
     }

@@ -3,15 +3,14 @@
 // The telemetry subsystem's contract: lifecycle events appear in order
 // with correct epoch stamps, the ring drops oldest-first at capacity,
 // the disabled path records nothing, TelemetrySnapshot agrees with the
-// legacy per-struct accessors on every benchmark workload, the typed
-// invoke<T> surface matches its named wrappers, the exporters emit
+// VM's and the machine's own accessors on every benchmark workload, the
+// typed invoke<T> surface decodes each return type, the exporters emit
 // well-formed output, and a multi-worker pool aggregates into one
 // snapshot. See docs/TELEMETRY.md.
 //
 //===----------------------------------------------------------------------===//
 
-#include "workloads/Inputs.h"
-#include "workloads/MlPrograms.h"
+#include "WorkloadDrivers.h"
 
 #include "bpf/Bpf.h"
 #include "service/SpecServer.h"
@@ -20,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 
 using namespace fab;
@@ -149,7 +147,7 @@ TEST(TelemetryTrace, DisabledPathRecordsNothing) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit); // default VmOptions: tracing off
   uint32_t Spec = M.specializeOrDie("f", {7});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
   M.resetCodeSpace();
   M.specializeOrDie("f", {8});
 
@@ -191,7 +189,7 @@ TEST(TelemetryTrace, BlockBuildEventsFollowDecodeCache) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit, tracing());
   uint32_t Spec = M.specializeOrDie("f", {7});
-  M.callAtIntOrDie(Spec, {100});
+  M.invokeOrDie<int32_t>(Spec, {100});
   std::vector<TraceEvent> Evs = M.trace().snapshot();
   size_t Builds = countKind(Evs, EventKind::BlockBuild);
   if (M.vm().decodeCacheEnabled()) {
@@ -216,7 +214,7 @@ TEST(TelemetryTrace, TemplateFlushRecordedOnTemplateWorkload) {
   for (int32_t I = 0; I < 64; ++I)
     Elems.push_back(I * 7);
   uint32_t S = buildISet(M, Elems);
-  EXPECT_EQ(M.callIntOrDie("member", {S, 7 * 13}), 1);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 7 * 13}), 1);
 
   std::vector<TraceEvent> Evs = M.trace().snapshot();
   uint64_t WordsCopied = 0;
@@ -239,7 +237,7 @@ TEST(TelemetryTrace, GuardTripAndResetRecordedOnInjectedPressure) {
   M.vm().injectFault(FI);
 
   uint32_t Spec = M.specializeOrDie("f", {9}); // recovered transparently
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {10}), 99);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {10}), 99);
   EXPECT_EQ(M.telemetry().Recovery.FaultResets, 1u);
 
   std::vector<TraceEvent> Evs = M.trace().snapshot();
@@ -270,8 +268,8 @@ TEST(TelemetryTrace, PlainFallbackRecordedOnDegradation) {
   V[40] = 2;
   uint32_t Vv = M.heap().vector(V);
   const std::vector<uint32_t> Args = {Vv, 0, 64, 1000};
-  EXPECT_FALSE(M.callInt("scan", Args).ok());
-  EXPECT_FALSE(M.callInt("scan", Args).ok()); // second fault: degrade
+  EXPECT_FALSE(M.invoke<int32_t>("scan", Args).ok());
+  EXPECT_FALSE(M.invoke<int32_t>("scan", Args).ok()); // second fault: degrade
   ASSERT_TRUE(M.degraded());
 
   std::vector<TraceEvent> Evs = M.trace().snapshot();
@@ -281,125 +279,12 @@ TEST(TelemetryTrace, PlainFallbackRecordedOnDegradation) {
 }
 
 //===----------------------------------------------------------------------===//
-// TelemetrySnapshot vs the legacy accessors, on every benchmark workload
+// TelemetrySnapshot vs the machine's own accessors, on every workload
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct WorkloadCase {
-  const char *Name;
-  const char *Src;
-  std::function<void(Machine &)> Drive;
-};
-
-std::vector<WorkloadCase> allWorkloads() {
-  return {
-      {"matmul", MatmulSrc,
-       [](Machine &M) {
-         uint32_t V1 = M.heap().vector({0, 3, 0, 5, 2, 0, 0, 1});
-         uint32_t V2 = M.heap().vector({9, 2, 7, 4, 1, 1, 8, 3});
-         M.callIntOrDie("dotprod", {V1, V2});
-       }},
-      {"fmatmul", FMatmulSrc,
-       [](Machine &M) {
-         const uint32_t N = 4;
-         std::vector<std::vector<float>> A(N, std::vector<float>(N, 0.0f)),
-             B(N, std::vector<float>(N, 1.5f));
-         A[0][1] = 2.0f;
-         A[2][3] = -1.25f;
-         A[3][0] = 0.5f;
-         uint32_t Ar = buildRealRows(M, A);
-         uint32_t Btr = buildRealRows(M, B);
-         uint32_t Cr = buildRealRows(M, std::vector<std::vector<float>>(
-                                            N, std::vector<float>(N, 0.0f)));
-         M.callIntOrDie("fmatmul", {Ar, Btr, Cr});
-       }},
-      {"packet-filter", EvalSrc,
-       [](Machine &M) {
-         bpf::Program F = bpf::telnetFilter();
-         uint32_t Fv = M.heap().vector(F.Words);
-         for (const auto &P : bpf::makeTrace(6, 99)) {
-           uint32_t Pv = M.heap().vector(P);
-           M.callIntOrDie("runfilter", {Fv, Pv});
-         }
-       }},
-      {"regexp", RegexpSrc,
-       [](Machine &M) {
-         Nfa N = compileRegex(vowelsInOrderPattern());
-         uint32_t Prog = M.heap().vector(N.Prog);
-         for (const char *W : {"facetious", "abstemious", "zzz"}) {
-           uint32_t S = M.heap().string(W);
-           M.callIntOrDie("matches", {Prog, S});
-         }
-       }},
-      {"assoc", AssocSrc,
-       [](Machine &M) {
-         std::vector<std::pair<int32_t, int32_t>> Entries;
-         for (int32_t I = 0; I < 64; ++I)
-           Entries.push_back({I * 3 + 1, I * 100});
-         uint32_t L = buildAList(M, Entries);
-         M.callIntOrDie("lookup", {L, 7});
-         M.callIntOrDie("lookup", {L, 999999});
-       }},
-      {"member", MemberSrc,
-       [](Machine &M) {
-         std::vector<int32_t> Elems;
-         for (int32_t I = 0; I < 64; ++I)
-           Elems.push_back(I * 7);
-         uint32_t S = buildISet(M, Elems);
-         M.callIntOrDie("member", {S, 7 * 13});
-         M.callIntOrDie("member", {S, 5});
-       }},
-      {"life", LifeSrc,
-       [](Machine &M) {
-         uint32_t W = 0, H = 0;
-         std::vector<int32_t> Cells = gliderGunCells(1, W, H);
-         uint32_t S = buildISet(M, Cells);
-         M.callIntOrDie("life", {S, 2, W * H, W});
-       }},
-      {"isort", IsortSrc,
-       [](Machine &M) {
-         auto Words = wordList(12, 3);
-         uint32_t Arr = buildStringArray(M, Words);
-         M.callIntOrDie("sortall", {Arr});
-       }},
-      {"cg", CgSrc,
-       [](Machine &M) {
-         const uint32_t N = 8, Iters = 4;
-         Rng R(3);
-         std::vector<std::vector<float>> A;
-         std::vector<float> B;
-         tridiagonalSystem(N, R, A, B);
-         std::vector<std::vector<int32_t>> IdxRows;
-         std::vector<std::vector<float>> ValRows;
-         sparseFromDense(A, IdxRows, ValRows);
-         uint32_t Ai = buildIntRowsV(M, IdxRows);
-         uint32_t Av = buildRealRows(M, ValRows);
-         uint32_t Bv = M.heap().vectorF(B);
-         auto ZeroVec = [&] {
-           return M.heap().vectorF(std::vector<float>(N, 0.0f));
-         };
-         uint32_t X = ZeroVec(), Rv = ZeroVec(), Pv = ZeroVec(),
-                  Ap = ZeroVec();
-         ASSERT_TRUE(M.call("cg", {Ai, Av, Bv, X, Rv, Pv, Ap, Iters}).ok());
-       }},
-      {"pseudoknot", PseudoknotSrc,
-       [](Machine &M) {
-         const uint32_t Levels = 16;
-         Rng R(17);
-         std::vector<int32_t> Chk = constraintTable(Levels, 0.1, R);
-         uint32_t ChkV = M.heap().vector(Chk);
-         uint32_t Vals = M.heap().vector(
-             {1, 5, 3, 9, 2, 8, 0, 4, 6, 7, 11, 13, 2, 5, 1, 3});
-         M.callIntOrDie("pkrun", {ChkV, Vals, Levels});
-       }},
-  };
-}
-
-} // namespace
-
-TEST(TelemetrySnapshotTest, MatchesLegacyAccessorsOnEveryWorkload) {
-  for (const WorkloadCase &W : allWorkloads()) {
+TEST(TelemetrySnapshotTest, MatchesMachineAccessorsOnEveryWorkload) {
+  for (const test_drivers::WorkloadDriver &W :
+       test_drivers::allWorkloadDrivers()) {
     SCOPED_TRACE(W.Name);
     FabiusOptions Opts;
     Opts.Backend = deferredOptionsFor(W.Src);
@@ -410,7 +295,7 @@ TEST(TelemetrySnapshotTest, MatchesLegacyAccessorsOnEveryWorkload) {
     W.Drive(M);
     TelemetrySnapshot T = M.telemetry();
 
-    const VmStats &V = M.stats();
+    const VmStats &V = M.vm().stats();
     EXPECT_EQ(T.Vm.Executed, V.Executed);
     EXPECT_EQ(T.Vm.ExecutedStatic, V.ExecutedStatic);
     EXPECT_EQ(T.Vm.ExecutedDynamic, V.ExecutedDynamic);
@@ -418,20 +303,6 @@ TEST(TelemetrySnapshotTest, MatchesLegacyAccessorsOnEveryWorkload) {
     EXPECT_EQ(T.Vm.Stores, V.Stores);
     EXPECT_EQ(T.Vm.DynWordsWritten, V.DynWordsWritten);
     EXPECT_EQ(T.Vm.Cycles, V.Cycles);
-
-    const SpecializationStats &Sm = M.memo();
-    EXPECT_EQ(T.Memo.GeneratorRuns, Sm.GeneratorRuns);
-    EXPECT_EQ(T.Memo.MemoHits, Sm.MemoHits);
-    EXPECT_EQ(T.Memo.MemoMisses, Sm.MemoMisses);
-    EXPECT_EQ(T.Memo.GenExecuted, Sm.GenExecuted);
-    EXPECT_EQ(T.Memo.GenDynWords, Sm.GenDynWords);
-
-    const RecoveryStats &R = M.recovery();
-    EXPECT_EQ(T.Recovery.WatermarkResets, R.WatermarkResets);
-    EXPECT_EQ(T.Recovery.FaultResets, R.FaultResets);
-    EXPECT_EQ(T.Recovery.RecoveredRetries, R.RecoveredRetries);
-    EXPECT_EQ(T.Recovery.GeneratorFaults, R.GeneratorFaults);
-    EXPECT_EQ(T.Recovery.PlainFallbackCalls, R.PlainFallbackCalls);
 
     const DecodeCacheStats &D = M.vm().decodeCacheStats();
     EXPECT_EQ(T.DecodeCache.BlocksBuilt, D.BlocksBuilt);
@@ -459,10 +330,10 @@ TEST(TelemetrySnapshotTest, MatchesLegacyAccessorsOnEveryWorkload) {
       Dyn += P.DynWords;
       Gen += P.GenInstrs;
     }
-    EXPECT_EQ(Specs, Sm.GeneratorRuns);
-    EXPECT_EQ(Hits, Sm.MemoHits);
-    EXPECT_EQ(Dyn, Sm.GenDynWords);
-    EXPECT_EQ(Gen, Sm.GenExecuted);
+    EXPECT_EQ(Specs, T.Memo.GeneratorRuns);
+    EXPECT_EQ(Hits, T.Memo.MemoHits);
+    EXPECT_EQ(Dyn, T.Memo.GenDynWords);
+    EXPECT_EQ(Gen, T.Memo.GenExecuted);
   }
 }
 
@@ -471,9 +342,9 @@ TEST(TelemetrySnapshotTest, EntryProfilesAttributeSpecializeAndCalls) {
   Machine M(C.Unit);
   uint32_t S1 = M.specializeOrDie("f", {7});
   M.specializeOrDie("f", {7}); // memo hit
-  M.callAtIntOrDie(S1, {1});
-  M.callAtIntOrDie(S1, {2});
-  M.callIntOrDie("f", {3, 4});
+  M.invokeOrDie<int32_t>(S1, {1});
+  M.invokeOrDie<int32_t>(S1, {2});
+  M.invokeOrDie<int32_t>("f", {3, 4});
 
   TelemetrySnapshot T = M.telemetry();
   ASSERT_EQ(T.Entries.size(), 1u);
@@ -491,25 +362,27 @@ TEST(TelemetrySnapshotTest, EntryProfilesAttributeSpecializeAndCalls) {
 // The typed invoke<T> surface
 //===----------------------------------------------------------------------===//
 
-TEST(InvokeSurface, TypedInvokeMatchesNamedWrappers) {
+TEST(InvokeSurface, TypedInvokeByNameAndAddress) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit);
   EXPECT_EQ(M.invokeOrDie<int32_t>("f", {7, 100}), 707);
-  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {7, 100}), M.callIntOrDie("f", {7, 100}));
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {7, static_cast<uint32_t>(-100)}),
+            -693);
   EXPECT_EQ(M.invokeOrDie<uint32_t>("f", {7, 100}), 707u);
 
   uint32_t Spec = M.specializeOrDie("f", {7});
   EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
-  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), M.callAtIntOrDie(Spec, {100}));
+  EXPECT_EQ(M.invokeOrDie<uint32_t>(Spec, {100}), 707u);
 }
 
-TEST(InvokeSurface, FloatDecodingMatchesCallFloat) {
+TEST(InvokeSurface, FloatDecoding) {
   Compilation C = compileOrDie("fun g (x : real) = x * 2.5 + 1.0",
                                FabiusOptions::plain());
   Machine M(C.Unit);
   const uint32_t Four = std::bit_cast<uint32_t>(4.0f);
   EXPECT_FLOAT_EQ(M.invokeOrDie<float>("g", {Four}), 11.0f);
-  EXPECT_FLOAT_EQ(M.invokeOrDie<float>("g", {Four}), M.callFloatOrDie("g", {Four}));
+  EXPECT_EQ(M.invokeOrDie<uint32_t>("g", {Four}),
+            std::bit_cast<uint32_t>(11.0f));
 }
 
 TEST(InvokeSurface, UnknownNameReportsStructuredError) {
@@ -543,7 +416,7 @@ TEST(TelemetryExport, ChromeTraceIsWellFormed) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit, tracing());
   uint32_t Spec = M.specializeOrDie("f", {7});
-  M.callAtIntOrDie(Spec, {100});
+  M.invokeOrDie<int32_t>(Spec, {100});
 
   std::ostringstream OS;
   telemetry::TraceTrack Tk;
@@ -621,12 +494,6 @@ TEST(ServiceTelemetry, MultiWorkerAggregateAndWorkerEvents) {
     EXPECT_EQ(T.Errors, 0u);
     EXPECT_GT(T.Vm.Executed, 0u);
     EXPECT_GT(T.Memo.GeneratorRuns, 0u);
-    // The legacy ServerStats view is derived from the same snapshot.
-    ServerStats Legacy = S.stats();
-    EXPECT_EQ(Legacy.Served, T.Served);
-    EXPECT_EQ(Legacy.Submitted, T.Submitted);
-    EXPECT_EQ(Legacy.GenInstrWords, T.Vm.DynWordsWritten);
-    EXPECT_EQ(Legacy.Memo.GeneratorRuns, T.Memo.GeneratorRuns);
     // Entry profiles merged across workers: every request was a dotloop
     // call.
     uint64_t Calls = 0;

@@ -518,9 +518,9 @@ const char *DotSrc =
 int32_t runDotprod(Machine &M) {
   uint32_t V1 = M.heap().vector({1, 2, 3, 4, 5});
   uint32_t V2 = M.heap().vector({6, 7, 8, 9, 10});
-  ExecResult R = M.call("dotprod", {V1, V2});
-  EXPECT_TRUE(R.ok()) << R.describe();
-  return static_cast<int32_t>(R.V0);
+  FabResult<int32_t> R = M.invoke<int32_t>("dotprod", {V1, V2});
+  EXPECT_TRUE(R.ok()) << R.error().message();
+  return R.ok() ? *R : 0;
 }
 
 } // namespace
@@ -537,7 +537,7 @@ TEST(MachineIntegration, FullPipelineStatsAreBitIdentical) {
   EXPECT_EQ(runDotprod(MOff), 130);
 
   // The whole generate -> flush -> execute pipeline, same simulated world.
-  const VmStats &A = MOn.stats(), &B = MOff.stats();
+  const VmStats &A = MOn.vm().stats(), &B = MOff.vm().stats();
   EXPECT_EQ(A.Executed, B.Executed);
   EXPECT_EQ(A.ExecutedStatic, B.ExecutedStatic);
   EXPECT_EQ(A.ExecutedDynamic, B.ExecutedDynamic);

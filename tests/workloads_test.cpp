@@ -48,7 +48,7 @@ TEST_P(MatmulModes, MatchesReference) {
     uint32_t Ar = buildIntRows(M, A, N);
     uint32_t Bt = buildIntRows(M, transposeFlat(B, N), N);
     uint32_t Cr = buildZeroIntRows(M, N);
-    M.callIntOrDie("matmul", {Ar, Bt, Cr});
+    M.invokeOrDie<int32_t>("matmul", {Ar, Bt, Cr});
     EXPECT_EQ(readIntRows(M, Cr, N), referenceMatmul(A, B, N))
         << "zero fraction " << Zero;
   }
@@ -64,7 +64,7 @@ TEST(MatmulWorkload, DotprodStagedEntry) {
   Machine M(C.Unit);
   uint32_t V1 = M.heap().vector({0, 3, 0, 5});
   uint32_t V2 = M.heap().vector({9, 2, 7, 4});
-  EXPECT_EQ(M.callIntOrDie("dotprod", {V1, V2}), 6 + 20);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 6 + 20);
 }
 
 TEST(MatmulBaseline, ConvMatchesReference) {
@@ -126,7 +126,8 @@ TEST_P(EvalModes, MatchesReferenceOnTrace) {
   uint32_t Fv = M.heap().vector(F.Words);
   for (const auto &P : Trace) {
     uint32_t Pv = M.heap().vector(P);
-    EXPECT_EQ(M.callIntOrDie("runfilter", {Fv, Pv}), bpf::interpret(F, P));
+    EXPECT_EQ(M.invokeOrDie<int32_t>("runfilter", {Fv, Pv}),
+              bpf::interpret(F, P));
   }
 }
 
@@ -168,8 +169,12 @@ TEST_P(BpfProperty, AllImplementationsAgree) {
   for (const auto &P : Trace) {
     int32_t Expected = bpf::interpret(F, P);
     EXPECT_EQ(S.runBpf(FvB, S.mlVector(P)), Expected) << F.disassemble();
-    EXPECT_EQ(MP.callIntOrDie("runfilter", {FvP, MP.heap().vector(P)}), Expected);
-    EXPECT_EQ(MD.callIntOrDie("runfilter", {FvD, MD.heap().vector(P)}), Expected);
+    EXPECT_EQ(
+        MP.invokeOrDie<int32_t>("runfilter", {FvP, MP.heap().vector(P)}),
+        Expected);
+    EXPECT_EQ(
+        MD.invokeOrDie<int32_t>("runfilter", {FvD, MD.heap().vector(P)}),
+        Expected);
   }
 }
 
@@ -212,7 +217,8 @@ TEST_P(RegexModes, MatchesOracleOnWords) {
   for (const std::string &W : Words) {
     uint32_t S = M.heap().string(W);
     bool Expected = nfaMatches(N, W);
-    EXPECT_EQ(M.callIntOrDie("matches", {Prog, S}), Expected ? 1 : 0) << W;
+    EXPECT_EQ(M.invokeOrDie<int32_t>("matches", {Prog, S}), Expected ? 1 : 0)
+        << W;
     Matches += Expected;
   }
   EXPECT_GT(Matches, 0u); // the word list must contain facetious-like words
@@ -229,13 +235,13 @@ TEST(RegexWorkload, DeferredBuildsFsmOnce) {
   Machine M(C.Unit);
   uint32_t Prog = M.heap().vector(N.Prog);
   uint32_t S1 = M.heap().string("facetious");
-  ASSERT_EQ(M.callIntOrDie("matches", {Prog, S1}), 1);
+  ASSERT_EQ(M.invokeOrDie<int32_t>("matches", {Prog, S1}), 1);
   uint64_t Gen = M.instructionsGenerated();
   EXPECT_GT(Gen, 0u);
   // Later matches reuse the FSM: almost no fresh code (lazy alternation
   // arms may still materialize on first traversal).
   uint32_t S2 = M.heap().string("facetious");
-  ASSERT_EQ(M.callIntOrDie("matches", {Prog, S2}), 1);
+  ASSERT_EQ(M.invokeOrDie<int32_t>("matches", {Prog, S2}), 1);
   EXPECT_EQ(M.instructionsGenerated(), Gen);
 }
 
@@ -253,8 +259,9 @@ TEST_P(AssocModes, LookupMatches) {
   Machine M(C.Unit);
   uint32_t L = buildAList(M, Entries);
   for (const auto &[K, V] : Entries)
-    EXPECT_EQ(M.callIntOrDie("lookup", {L, static_cast<uint32_t>(K)}), V);
-  EXPECT_EQ(M.callIntOrDie("lookup", {L, 999999}), -1);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("lookup", {L, static_cast<uint32_t>(K)}),
+              V);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("lookup", {L, 999999}), -1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, AssocModes, ::testing::Bool(),
@@ -271,9 +278,9 @@ TEST_P(MemberModes, MembershipMatches) {
   Compilation C = compileBoth(MemberSrc, GetParam());
   Machine M(C.Unit);
   uint32_t S = buildISet(M, Elems);
-  EXPECT_EQ(M.callIntOrDie("member", {S, 7 * 13}), 1);
-  EXPECT_EQ(M.callIntOrDie("member", {S, 5}), 0);
-  EXPECT_EQ(M.callIntOrDie("member", {S, 0}), 1);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 7 * 13}), 1);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 5}), 0);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 0}), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MemberModes, ::testing::Bool(),
@@ -299,7 +306,7 @@ TEST_P(LifeModes, PopulationMatchesReference) {
   Compilation C = compileBoth(LifeSrc, GetParam());
   Machine M(C.Unit);
   uint32_t S = buildISet(M, Cells);
-  int32_t Pop = M.callIntOrDie("life", {S, 8, NumCells, W});
+  int32_t Pop = M.invokeOrDie<int32_t>("life", {S, 8, NumCells, W});
   EXPECT_EQ(Pop, static_cast<int32_t>(Ref.size()));
 }
 
@@ -332,7 +339,7 @@ TEST_P(IsortModes, SortsReverseSortedWords) {
   Compilation C = compileBoth(IsortSrc, GetParam());
   Machine M(C.Unit);
   uint32_t Arr = buildStringArray(M, Words);
-  M.callIntOrDie("sortall", {Arr});
+  M.invokeOrDie<int32_t>("sortall", {Arr});
   EXPECT_EQ(readStringArray(M, Arr), Expected);
 }
 
@@ -367,9 +374,10 @@ TEST_P(CgModes, ResidualMatchesReferenceAndConverges) {
   uint32_t Rv = M.heap().vectorF(std::vector<float>(N, 0.0f));
   uint32_t P = M.heap().vectorF(std::vector<float>(N, 0.0f));
   uint32_t Ap = M.heap().vectorF(std::vector<float>(N, 0.0f));
-  ExecResult Res = M.call("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters});
-  ASSERT_TRUE(Res.ok()) << Res.describe();
-  float Residual = std::bit_cast<float>(Res.V0);
+  FabResult<float> Res =
+      M.invoke<float>("cg", {Ai, Av, Bv, X, Rv, P, Ap, Iters});
+  ASSERT_TRUE(Res.ok()) << Res.error().message();
+  float Residual = *Res;
   EXPECT_NEAR(Residual, RefResidual, 1e-4f);
   float B2 = 0;
   for (float V : B)
@@ -416,7 +424,7 @@ TEST_P(PkModes, CountsMatchHostModel) {
       Expected = Score;
     }
     uint32_t ValsV = M.heap().vector(Vals);
-    EXPECT_EQ(M.callIntOrDie("pkrun", {ChkV, ValsV, Levels}), Expected);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("pkrun", {ChkV, ValsV, Levels}), Expected);
   }
 }
 
@@ -489,7 +497,7 @@ TEST_P(FMatmulModes, MatchesHostFloatReference) {
   uint32_t Btr = buildRealRows(M, B);
   uint32_t Cr = buildRealRows(
       M, std::vector<std::vector<float>>(N, std::vector<float>(N, 0.0f)));
-  M.callIntOrDie("fmatmul", {Ar, Btr, Cr});
+  M.invokeOrDie<int32_t>("fmatmul", {Ar, Btr, Cr});
   for (uint32_t I = 0; I < N; ++I) {
     uint32_t Row = M.vm().load32(Cr + 4 + 4 * I);
     std::vector<float> Vals = M.heap().readVectorF(Row);

@@ -8,7 +8,6 @@
 //   --plain            compile without run-time code generation
 //   --memoize-self FN  route FN's self tail calls through the memo table
 //                      (needed for cyclic early arguments)
-//   --thread-jumps     enable jumps-to-jumps threading
 //   --no-decode-cache  run the simulator's reference interpreter instead of
 //                      the predecoded basic-block engine (see docs/VM.md);
 //                      results and statistics are identical, only host
@@ -55,8 +54,8 @@ namespace {
     std::fprintf(stderr, "fabc: %s\n", Msg);
   std::fprintf(stderr,
                "usage: fabc FILE.ml [--plain] [--memoize-self FN]\n"
-               "            [--thread-jumps] [--no-decode-cache]\n"
-               "            [--no-templates] [--disasm FN]\n"
+               "            [--no-decode-cache] [--no-templates]\n"
+               "            [--disasm FN]\n"
                "            [--dump-staging] [--stats]\n"
                "            [--trace FILE] [--no-trace]\n"
                "            --call FN ARG...\n"
@@ -106,8 +105,6 @@ int main(int Argc, char **Argv) {
       if (++I >= Argc)
         usage("--memoize-self needs a function name");
       Opts.Backend.MemoizedSelfCalls.insert(Argv[I]);
-    } else if (A == "--thread-jumps") {
-      Opts.Backend.ThreadJumps = true;
     } else if (A == "--no-decode-cache") {
       VmOpts.EnableDecodeCache = false;
     } else if (A == "--no-templates") {
@@ -186,7 +183,7 @@ int main(int Argc, char **Argv) {
     std::vector<uint32_t> Args;
     for (const std::string &S : CallArgs)
       Args.push_back(parseArg(M, S));
-    ExecResult R;
+    FabResult<uint32_t> R = 0u;
     auto Keys = C->Unit.MemoKeys.find(CallFn);
     if (Stats && Keys != C->Unit.MemoKeys.end() && Args.size() >= Keys->second) {
       // Staged entry under --stats: run the explicit two-call sequence
@@ -200,21 +197,21 @@ int main(int Argc, char **Argv) {
                     Spec.error().message().c_str());
         return 1;
       }
-      R = M.callAt(*Spec, Late);
+      R = M.invoke<uint32_t>(*Spec, Late);
     } else {
-      R = M.call(CallFn, Args);
+      R = M.invoke<uint32_t>(CallFn, Args);
     }
-    if (!R.ok()) {
-      std::printf("%s trapped: %s\n", CallFn.c_str(), R.describe().c_str());
+    if (!R) {
+      std::printf("%s trapped: %s\n", CallFn.c_str(),
+                  R.error().Exec.describe().c_str());
       return 1;
     }
-    std::printf("%s = %d (0x%08x)\n", CallFn.c_str(),
-                static_cast<int32_t>(R.V0), R.V0);
+    std::printf("%s = %d (0x%08x)\n", CallFn.c_str(), static_cast<int32_t>(*R),
+                *R);
   }
 
   if (Stats) {
-    // One read through the unified snapshot (docs/TELEMETRY.md); the
-    // human layout below is unchanged from the per-struct era.
+    // One read through the snapshot (docs/TELEMETRY.md).
     const TelemetrySnapshot T = M.telemetry();
     const VmStats &S = T.Vm;
     std::printf("\nsimulator statistics:\n");

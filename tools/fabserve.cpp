@@ -5,7 +5,7 @@
 // src/service/ stack (SpecServer over a MachinePool of FAB-32
 // machines), validates every result against host-side oracles (a plain
 // C++ dot product and the BPF reference interpreter), and prints the
-// aggregate ServerStats.
+// server's aggregate TelemetrySnapshot.
 //
 // Usage: fabserve [--workers N] [--requests N] [--rows N] [--len N]
 //                 [--seed S] [--no-cache] [--cache-capacity N]
@@ -436,8 +436,6 @@ int main(int argc, char **argv) {
   }
   S.shutdown();
 
-  // The unified snapshot replaces the old hand-summed ServerStats; the
-  // human layout is unchanged.
   TelemetrySnapshot T = S.telemetry();
   std::printf("\nall %llu results validated against host oracles (%zu "
               "mismatches)\n",
