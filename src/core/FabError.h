@@ -40,7 +40,8 @@ enum class FabErrc {
   Trapped = 1,            ///< the VM stopped on a fault or program trap
   OutOfFuel = 2,          ///< instruction budget exhausted
   CodeSpaceExhausted = 3, ///< dynamic code segment full and not recoverable
-  Degraded = 4,           ///< machine fell back to Plain; staging unavailable
+  Degraded = 4,           ///< retired, never produced; older servers sent
+                          ///< it for a machine degraded to Plain
   Rejected = 5,           ///< serving layer refused the request (shut down
                           ///< or queue over its configured depth)
   DeadlineExceeded = 6,   ///< request deadline passed (in queue or mid-run)

@@ -32,7 +32,7 @@ std::string FabError::message() const {
     OS << Fn << ": dynamic code space exhausted (" << Exec.describe() << ")";
     break;
   case FabErrc::Degraded:
-    OS << Fn << ": machine degraded to plain execution; staging unavailable";
+    OS << Fn << ": machine degraded (retired code, sent by older servers)";
     break;
   case FabErrc::Rejected:
     OS << Fn << ": request rejected (server shutting down or queue full)";
@@ -69,10 +69,6 @@ FabErrc classify(const ExecResult &R) {
   return FabErrc::Trapped;
 }
 
-bool inStaticCode(uint32_t Pc) {
-  return Pc >= layout::StaticCodeBase && Pc < layout::StaticCodeEnd;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -95,7 +91,7 @@ std::optional<Compilation> fab::compile(const std::string &Source,
     return std::nullopt;
 
   if (Opts.PlainFallback && Opts.Backend.Mode == CompileMode::Deferred) {
-    // Compile the degradation image above the deferred one. Plain code
+    // Compile the Plain image above the deferred one. Plain code
     // allocates no static data, so the two units only share the code
     // region and cannot clash elsewhere.
     BackendOptions PB = Opts.Backend;
@@ -235,67 +231,31 @@ ExecResult Machine::runGuarded(uint32_t Entry,
 
 ExecResult Machine::runRecovered(uint32_t Entry,
                                  const std::vector<uint32_t> &Args) {
-  if (Policy.AutoReset && Policy.HighWatermark > 0) {
-    auto Limit = static_cast<uint64_t>(Policy.HighWatermark *
-                                       static_cast<double>(layout::DynCodeBytes));
-    if (codeSpaceUsed() >= Limit) {
-      resetCodeSpace();
-      ++Recovery.WatermarkResets;
-    }
-  }
-
-  // Trace every pressure stop (guard trap, full memo table, or the VM's
-  // emission hard bound) at the PC that tripped it; Arg1 carries the trap
-  // value, or ~0 for the hard bound.
-  auto NoteTrip = [&](const ExecResult &Stop) {
+  // Traces a pressure stop at the PC that tripped it (Arg1 carries the
+  // trap value, or ~0 for the VM's hard bound), then empties the segment.
+  auto resetAfter = [&](const ExecResult &Stop) {
     if (Sim.trace().enabled())
       Sim.trace().record(telemetry::EventKind::CodeGuardTrip,
                          Sim.stats().Executed, Stop.FaultPc,
                          Stop.FaultKind == Fault::ProgramTrap
                              ? Stop.TrapValue
                              : ~uint64_t(0));
+    resetCodeSpace();
+    ++Recovery.FaultResets;
   };
 
   ExecResult R = runGuarded(Entry, Args);
-  if (!R.ok() && isCodeSpacePressure(R))
-    NoteTrip(R);
-  for (unsigned Attempt = 0; !R.ok() && isCodeSpacePressure(R) &&
-                             Policy.AutoReset && Attempt < Policy.MaxRetries;
-       ++Attempt) {
-    resetCodeSpace();
-    ++Recovery.FaultResets;
-    R = runGuarded(Entry, Args);
-    if (R.ok())
-      ++Recovery.RecoveredRetries;
-    else if (isCodeSpacePressure(R))
-      NoteTrip(R);
-  }
-  if (!R.ok() && isCodeSpacePressure(R) && Policy.AutoReset) {
-    // Unrecovered pressure: reset once more so the memo tables hold no
-    // in-progress entries pointing at the abandoned emission and the next
-    // operation starts from a consistent, empty segment.
-    resetCodeSpace();
-    ++Recovery.FaultResets;
-  }
-
-  // Degradation accounting: only failures on the generator side (static
-  // code, where generators and wrappers execute) or code-space pressure
-  // count; a trap raised by the *generated* code (e.g. a subscript bounds
-  // trap) is the program's own behavior, not a generator fault.
-  if (R.ok()) {
-    ConsecutiveGenFaults = 0;
-  } else if (isCodeSpacePressure(R) || inStaticCode(R.FaultPc)) {
-    ++Recovery.GeneratorFaults;
-    ++ConsecutiveGenFaults;
-    if (Policy.FallBackToPlain && Plain &&
-        ConsecutiveGenFaults >= Policy.MaxGeneratorFaults) {
-      if (!Degraded && Sim.trace().enabled())
-        Sim.trace().record(telemetry::EventKind::PlainFallback,
-                           Sim.stats().Executed, R.FaultPc,
-                           ConsecutiveGenFaults);
-      Degraded = true;
-    }
-  }
+  if (R.ok() || !isCodeSpacePressure(R))
+    return R;
+  resetAfter(R);
+  R = runGuarded(Entry, Args);
+  if (R.ok())
+    ++Recovery.RecoveredRetries;
+  else if (isCodeSpacePressure(R))
+    // Unrecovered: reset again so the memo tables hold no in-progress
+    // entries pointing at the abandoned emission and the next operation
+    // starts from an empty segment.
+    resetAfter(R);
   return R;
 }
 
@@ -310,10 +270,6 @@ FabError Machine::makeError(const std::string &Fn, const ExecResult &R) const {
 ExecResult Machine::call(const std::string &Name,
                          const std::vector<uint32_t> &Args) {
   ++Profiles[Name].Calls;
-  if (Degraded && Plain && Plain->FnAddr.count(Name)) {
-    ++Recovery.PlainFallbackCalls;
-    return runGuarded(Plain->fnAddr(Name), Args);
-  }
   return runRecovered(Unit.fnAddr(Name), Args);
 }
 
@@ -331,7 +287,7 @@ FabResult<int32_t> Machine::callPlainInt(const std::string &Name,
 
 FabResult<uint32_t> Machine::invokeNamedRaw(const std::string &Name,
                                             const std::vector<uint32_t> &Args) {
-  if (!Unit.FnAddr.count(Name) && !(Plain && Plain->FnAddr.count(Name)))
+  if (!Unit.FnAddr.count(Name))
     return FabError{FabErrc::UnknownFunction, Name, {}};
   ExecResult R = call(Name, Args);
   if (!R.ok())
@@ -352,8 +308,6 @@ FabResult<uint32_t> Machine::invokeAtRaw(uint32_t Addr,
 
 FabResult<uint32_t> Machine::specialize(const std::string &Name,
                                         const std::vector<uint32_t> &EarlyArgs) {
-  if (Degraded)
-    return FabError{FabErrc::Degraded, Name, {}};
   if (!Unit.GenAddr.count(Name))
     return FabError{FabErrc::UnknownFunction, Name, {}};
   auto &Ring = Sim.trace();
@@ -418,7 +372,6 @@ TelemetrySnapshot Machine::telemetry() const {
   T.CodeEpoch = CodeEpoch;
   T.SpecializationsLive = specializationsLive();
   T.CodeSpaceUsed = codeSpaceUsed();
-  T.DegradedMachines = Degraded ? 1u : 0u;
   T.TraceRecorded = Sim.trace().recorded();
   T.TraceDropped = Sim.trace().dropped();
   T.Entries.reserve(Profiles.size());

@@ -48,8 +48,8 @@ struct FabiusOptions {
   BackendOptions Backend;
   /// Deferred mode only: additionally compile the program as a Plain
   /// (non-RTCG) image placed in the static code region above the deferred
-  /// image, so a Machine can degrade to ordinary execution when the
-  /// generator repeatedly faults (see CodeSpacePolicy).
+  /// image, so a caller can route around the staged path through
+  /// Machine::callPlainInt (the serving layer's breaker and profile gate).
   bool PlainFallback = false;
   /// When false, currying is collapsed and the program compiles to
   /// ordinary code (the paper's "without RTCG" configuration).
@@ -84,27 +84,6 @@ struct Compilation {
   std::optional<CompiledUnit> PlainUnit;
 };
 
-/// Code-space pressure and generator-fault handling for a Machine.
-/// "Pressure" means the guard trap (TrapCode::CodeSpace), a full memo
-/// table (TrapCode::MemoFull), or the VM's emission hard bound
-/// (Fault::CodeSpaceExhausted) — all curable by resetCodeSpace() unless a
-/// single specialization alone exceeds the segment.
-struct CodeSpacePolicy {
-  /// Fraction of the dynamic code segment that, once used, triggers a
-  /// preemptive reset at the next specialize()/call() entry.
-  double HighWatermark = 0.9;
-  /// Automatically resetCodeSpace() and retry when a run stops on
-  /// code-space pressure.
-  bool AutoReset = true;
-  /// Retries per failing operation (each preceded by a reset).
-  unsigned MaxRetries = 1;
-  /// After MaxGeneratorFaults consecutive *unrecovered* generator
-  /// failures, permanently route name-based calls to the Plain fall-back
-  /// image (when one was compiled) instead of the staged path.
-  bool FallBackToPlain = true;
-  unsigned MaxGeneratorFaults = 3;
-};
-
 /// Prints \p E and exits; shared by every *OrDie convenience.
 [[noreturn]] void dieOnError(const FabError &E);
 
@@ -136,28 +115,32 @@ Compilation compileOrDie(const std::string &Source,
 
 /// A loaded program instance: simulator + heap + symbol table.
 ///
-/// Failure handling: every by-name operation reports failures as a
-/// FabResult/ExecResult instead of crashing, applies the CodeSpacePolicy
-/// (high-watermark resets, reset-and-retry on code-space pressure,
-/// degradation to a Plain image after repeated generator faults), and
-/// re-seats $sp/$fp after a failed run so the machine stays usable. The
-/// *OrDie variants exit the process on failure (benchmark convenience).
+/// Failure handling: every operation reports failures as a
+/// FabResult/ExecResult instead of crashing and re-seats $sp/$fp after a
+/// failed run so the machine stays usable. A by-name run that stops on
+/// code-space pressure — the guard trap (TrapCode::CodeSpace), a full
+/// memo table (TrapCode::MemoFull) or the VM's emission hard bound
+/// (Fault::CodeSpaceExhausted) — is retried once from an empty segment
+/// (resetCodeSpace()); if the retry stops on pressure too, the segment
+/// is reset again and the caller gets FabErrc::CodeSpaceExhausted. Every
+/// other recovery decision (compaction, request retries, routing to the
+/// Plain image) belongs to the caller. The *OrDie variants exit the
+/// process on failure (benchmark convenience).
 class Machine {
 public:
   explicit Machine(const CompiledUnit &Unit, VmOptions VmOpts = VmOptions());
-  /// Loads C.Unit and, when present, C.PlainUnit as the degradation
-  /// target. \p C must outlive the machine.
+  /// Loads C.Unit and, when present, C.PlainUnit (served by
+  /// callPlainInt). \p C must outlive the machine.
   explicit Machine(const Compilation &C, VmOptions VmOpts = VmOptions());
 
   Vm &vm() { return Sim; }
   HeapImage &heap() { return Heap; }
 
   /// The call surface: one implementation, two targets. By name (in
-  /// Deferred mode, a staged function's entry is its wrapper) the full
-  /// recovery policy applies (unknown-name check, watermark resets,
-  /// reset-and-retry, degradation routing to the Plain image); by
-  /// address, i.e. previously specialized code, there is no
-  /// retry/fallback, because a reset would invalidate the address. T is
+  /// Deferred mode, a staged function's entry is its wrapper) the name is
+  /// checked and a run stopped by code-space pressure is reset and
+  /// retried once; by address, i.e. previously specialized code, there is
+  /// no retry, because a reset would invalidate the address. T is
   /// one of int32_t, uint32_t, float (see detail::decodeReturn). A failed
   /// run's stop (trap, fuel) is in the error's FabError::Exec.
   template <typename T>
@@ -193,9 +176,8 @@ public:
 
   /// Runs the generating extension of staged function \p Name on the early
   /// arguments; returns the address of the specialized code, or a
-  /// structured error if the generator fails (after policy-driven
-  /// recovery attempts). Returns FabErrc::Degraded once the machine has
-  /// fallen back to Plain execution.
+  /// structured error if the generator fails (after the reset-and-retry
+  /// on code-space pressure).
   FabResult<uint32_t> specialize(const std::string &Name,
                                  const std::vector<uint32_t> &EarlyArgs);
   uint32_t specializeOrDie(const std::string &Name,
@@ -206,21 +188,14 @@ public:
     return *R;
   }
 
-  /// Calls the Plain fall-back image directly, regardless of degradation
-  /// state, with the *combined* early+late argument list (Plain collapses
-  /// currying). The serving layer uses this to route an entry point whose
-  /// circuit breaker is open around the staged path for a cool-down
-  /// window without degrading the whole machine. Counts toward
-  /// RecoveryStats::PlainFallbackCalls.
+  /// Calls the Plain fall-back image with the *combined* early+late
+  /// argument list (Plain collapses currying). The serving layer uses
+  /// this to route a request around the staged path: while an entry
+  /// point's circuit breaker is open, and for cold keys the profile gate
+  /// turns away. Counts toward RecoveryStats::PlainFallbackCalls.
   FabResult<int32_t> callPlainInt(const std::string &Name,
                                   const std::vector<uint32_t> &Args);
 
-  // -- Recovery policy -------------------------------------------------------
-
-  void setPolicy(const CodeSpacePolicy &P) { Policy = P; }
-  const CodeSpacePolicy &policy() const { return Policy; }
-  /// True once name-based calls are served by the Plain fall-back image.
-  bool degraded() const { return Degraded; }
   /// Whether a Plain fall-back image is loaded.
   bool hasPlainFallback() const { return Plain != nullptr; }
 
@@ -233,7 +208,7 @@ public:
   TelemetrySnapshot telemetry() const;
 
   /// The lifecycle event ring (owned by the VM; the facade records
-  /// specialize/memo/reset/fallback events into it).
+  /// specialize/memo/guard-trip/reset events into it).
   fab::telemetry::TraceRing &trace() { return Sim.trace(); }
   const fab::telemetry::TraceRing &trace() const { return Sim.trace(); }
   void setTraceEnabled(bool On) { Sim.trace().setEnabled(On); }
@@ -280,12 +255,10 @@ private:
   /// Runs \p Entry with $sp/$fp snapshotting: a failed run has its stack
   /// registers re-seated so subsequent calls need no manual repair.
   ExecResult runGuarded(uint32_t Entry, const std::vector<uint32_t> &Args);
-  /// runGuarded plus the recovery policy: watermark reset before, reset +
-  /// retry on code-space pressure, fault accounting + degradation after.
+  /// runGuarded plus the reset-and-retry on code-space pressure.
   ExecResult runRecovered(uint32_t Entry, const std::vector<uint32_t> &Args);
   FabError makeError(const std::string &Fn, const ExecResult &R) const;
-  /// Calls a function by name: recovery policy, or the Plain image once
-  /// degraded.
+  /// Calls a function by name, with the reset-and-retry.
   ExecResult call(const std::string &Name, const std::vector<uint32_t> &Args);
   /// Calls previously specialized code as-is.
   ExecResult callAt(uint32_t Addr, const std::vector<uint32_t> &Args);
@@ -297,10 +270,9 @@ private:
                                   const std::vector<uint32_t> &Args);
 
   const CompiledUnit &Unit;
-  const CompiledUnit *Plain = nullptr; ///< degradation target, optional
+  const CompiledUnit *Plain = nullptr; ///< callPlainInt's image, optional
   Vm Sim;
   HeapImage Heap;
-  CodeSpacePolicy Policy;
   RecoveryStats Recovery;
   SpecializationStats Memo;
   /// Per-entry-point accounting for telemetry(). Specialization counters
@@ -312,8 +284,6 @@ private:
   /// code epoch only (cleared by resetCodeSpace()).
   std::unordered_map<uint32_t, std::string> AddrOwner;
   uint64_t CodeEpoch = 0;
-  unsigned ConsecutiveGenFaults = 0;
-  bool Degraded = false;
 };
 
 } // namespace fab

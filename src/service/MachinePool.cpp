@@ -156,6 +156,19 @@ materialize(Machine &M, std::map<std::vector<int32_t>, uint32_t> *Intern,
   return Words;
 }
 
+/// Serves \p R through the Plain image, which collapses currying: the
+/// early and late arguments go to Machine::callPlainInt as one list. Both
+/// routes around the staged path (the profile gate and an open breaker)
+/// come through here.
+FabResult<int32_t>
+callPlain(Machine &M, std::map<std::vector<int32_t>, uint32_t> *Intern,
+          const Request &R) {
+  std::vector<uint32_t> Words = materialize(M, Intern, R.Early);
+  std::vector<uint32_t> LateW = materialize(M, nullptr, R.Late);
+  Words.insert(Words.end(), LateW.begin(), LateW.end());
+  return M.callPlainInt(R.Key.Fn, Words);
+}
+
 } // namespace
 
 FabResult<int32_t>
@@ -192,9 +205,8 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
   }
   if (!Have) {
     // Profile gate: a cold key of an entry point whose observed reuse is
-    // below the threshold is served through the Plain image (which
-    // collapses currying, so early+late go as one argument list) instead
-    // of paying ~9 instrs/instr generator cost that will never amortize.
+    // below the threshold is served through the Plain image instead of
+    // paying ~9 instrs/instr generator cost that will never amortize.
     // The sighting is recorded so the key's second occurrence — proof of
     // reuse — specializes normally.
     if (Opts.EnableCache && Opts.Cache.ProfileGate && M.hasPlainFallback() &&
@@ -207,11 +219,8 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
       if (Reuse < Opts.Cache.ProfileMinReuse) {
         Cache.recordSighting(R.Key);
         Cache.noteProfileGated();
-        std::vector<uint32_t> Words =
-            materialize(M, Opts.InternEarlyArgs ? &Intern : nullptr, R.Early);
-        std::vector<uint32_t> LateW = materialize(M, nullptr, R.Late);
-        Words.insert(Words.end(), LateW.begin(), LateW.end());
-        return finish(M.callPlainInt(R.Key.Fn, Words));
+        return finish(
+            callPlain(M, Opts.InternEarlyArgs ? &Intern : nullptr, R));
       }
     }
     std::vector<uint32_t> EarlyWords =
@@ -222,7 +231,7 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
       return finish(S.error());
     Addr = *S;
     if (Opts.EnableCache) {
-      // specialize() may have reset the code space (watermark/retry), so
+      // specialize() may have reset the code space (reset-and-retry), so
       // tag with the epoch as of *now*; the emitted-words delta funds the
       // compaction planner's byte budget (0 on an in-VM memo hit).
       uint64_t Bytes = (M.vm().stats().DynWordsWritten - GenBefore) * 4;
@@ -240,7 +249,6 @@ void MachinePool::runWorker(unsigned Idx) {
   std::optional<Machine> M;
   auto rebuild = [&] {
     M.emplace(Comp, Opts.Vm);
-    M->setPolicy(Opts.Policy);
     if (Opts.ConfigureWorker)
       Opts.ConfigureWorker(Idx, *M);
   };
@@ -315,7 +323,6 @@ void MachinePool::runWorker(unsigned Idx) {
     TelemetrySnapshot T = M->telemetry();
     T.SpecializationsLive = 0;
     T.CodeSpaceUsed = 0;
-    T.DegradedMachines = 0;
     T.CodeEpoch = 0;
     Retired += T;
   };
@@ -354,15 +361,11 @@ void MachinePool::runWorker(unsigned Idx) {
     return N;
   };
 
-  // The Plain image collapses currying, so an open breaker serves the
-  // combined early+late argument list through Machine::callPlainInt.
+  // An open breaker's route around the staged path.
   auto servePlain = [&](Request &R) -> FabResult<int32_t> {
     VmStats Before = M->vm().stats();
-    std::vector<uint32_t> Words =
-        materialize(*M, Opts.InternEarlyArgs ? &Intern : nullptr, R.Early);
-    std::vector<uint32_t> LateW = materialize(*M, nullptr, R.Late);
-    Words.insert(Words.end(), LateW.begin(), LateW.end());
-    FabResult<int32_t> Res = M->callPlainInt(R.Key.Fn, Words);
+    FabResult<int32_t> Res =
+        callPlain(*M, Opts.InternEarlyArgs ? &Intern : nullptr, R);
     Local.BusyCyclesTotal += (M->vm().stats() - Before).Cycles;
     return Res;
   };
@@ -451,9 +454,10 @@ void MachinePool::runWorker(unsigned Idx) {
         ++Local.Overload.DeadlineMisses;
         break;
       }
+      // CodeSpaceExhausted is final: the machine has already retried
+      // from an empty segment, so another attempt repeats that run.
       FabErrc C = Res.error().Code;
-      bool Transient = C == FabErrc::Trapped || C == FabErrc::OutOfFuel ||
-                       C == FabErrc::CodeSpaceExhausted;
+      bool Transient = C == FabErrc::Trapped || C == FabErrc::OutOfFuel;
       if (!Transient || Attempt >= R.Retries)
         break;
       if (R.DeadlineNs && telemetry::traceNowNs() >= R.DeadlineNs)
@@ -501,11 +505,11 @@ void MachinePool::runWorker(unsigned Idx) {
     return Res;
   };
 
-  // Code-space compaction: when the dynamic segment crosses the policy
-  // watermark (kept below the Machine's own all-or-nothing reset
-  // threshold), re-specialize only the pinned + hottest cached keys —
-  // within the byte budget the per-entry accounting funds — into a fresh
-  // segment, instead of letting the wipe dump the whole working set.
+  // Code-space compaction, the only preemptive reclaim: when the dynamic
+  // segment crosses the policy watermark, re-specialize only the pinned +
+  // hottest cached keys — within the byte budget the per-entry accounting
+  // funds — into a fresh segment, before pressure makes the Machine's
+  // reset-and-retry dump the whole working set.
   // Early arguments are decoded straight out of the self-delimiting keys.
   auto maybeCompact = [&](BatchSpecMap &BatchSpecs) {
     if (!Opts.EnableCache || !Opts.Cache.Compaction)

@@ -16,10 +16,12 @@
 /// Each worker drains its queue in batches. Within a batch, requests
 /// with the same specialization key are coalesced: the first one runs
 /// (or reuses) the generator, the rest jump straight to the produced
-/// address. Workers inherit the CodeSpacePolicy recovery discipline of
-/// the Machine layer; a worker whose machine degrades keeps draining its
-/// queue (answering with structured errors or Plain-fallback results)
-/// rather than stalling the pool.
+/// address. The pool owns every code-space recovery decision above the
+/// Machine's fixed reset-and-retry: compaction (the only preemptive
+/// reclaim), request retries, and routing to the Plain image (circuit
+/// breaker, profile gate). A worker whose entry point keeps failing
+/// keeps draining its queue (answering with structured errors or
+/// Plain-fallback results) rather than stalling the pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,7 +119,6 @@ struct PoolOptions {
   /// worker rebuilds its machine from the compilation (fresh heap and
   /// code space) and clears its cache and intern table.
   uint32_t HeapRecycleMargin = 1u << 20;
-  CodeSpacePolicy Policy;
   VmOptions Vm;
   /// Called on the worker thread right after its Machine is (re)built;
   /// tests use it to arm a per-worker fault injector.
@@ -151,8 +152,8 @@ struct PoolOptions {
 class MachinePool {
 public:
   /// \p C must outlive the pool (machines are rebuilt from it on heap
-  /// recycle). When C.PlainUnit is present each worker loads it as its
-  /// degradation target.
+  /// recycle). When C.PlainUnit is present each worker loads it for the
+  /// breaker and the profile gate.
   MachinePool(const Compilation &C, const PoolOptions &Opts);
   ~MachinePool();
 

@@ -134,10 +134,10 @@ struct CachePolicy {
   /// Selective code-space rebuild: when a worker machine's dynamic
   /// segment crosses CompactWatermark * DynCodeBytes, re-specialize only
   /// pinned + hottest keys (up to CompactKeepFraction of the watermark
-  /// budget, by recorded per-entry bytes) into a fresh segment instead
-  /// of letting the all-or-nothing watermark reset wipe the cache.
+  /// budget, by recorded per-entry bytes) into a fresh segment before
+  /// pressure makes the Machine's all-or-nothing reset wipe the cache.
   bool Compaction = true;
-  double CompactWatermark = 0.75; ///< keep below Machine's HighWatermark
+  double CompactWatermark = 0.75; ///< fraction of DynCodeBytes
   double CompactKeepFraction = 0.5;
   /// Profile-guided specialization: on a cold miss, consult the machine's
   /// EntryPointProfile for the function — when its observed reuse

@@ -44,9 +44,10 @@ struct SubmitOptions {
   /// mechanism (the remaining budget converts to an instruction cap at
   /// the modeled clock; see PoolOptions::DeadlineInstrPerUs).
   uint64_t DeadlineNs = 0;
-  /// Retries after transient failures (traps, fuel exhaustion, code-space
-  /// exhaustion), with bounded exponential host-side backoff between
-  /// attempts. FAB_RETRIES=0 forces 0 process-wide.
+  /// Retries after transient failures (traps, fuel exhaustion), with
+  /// bounded exponential host-side backoff between attempts. Code-space
+  /// exhaustion is not retried: the machine has already retried from an
+  /// empty segment. FAB_RETRIES=0 forces 0 process-wide.
   unsigned MaxRetries = 0;
 };
 

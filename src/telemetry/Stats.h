@@ -115,17 +115,13 @@ struct SpecializationStats {
 
 /// Counters describing recovery activity; see TelemetrySnapshot::Recovery.
 struct RecoveryStats {
-  uint64_t WatermarkResets = 0;    ///< preemptive resets at high watermark
-  uint64_t FaultResets = 0;        ///< resets in response to pressure traps
+  uint64_t FaultResets = 0;        ///< resets in response to pressure stops
   uint64_t RecoveredRetries = 0;   ///< retries that then succeeded
-  uint64_t GeneratorFaults = 0;    ///< unrecovered generator failures
   uint64_t PlainFallbackCalls = 0; ///< calls served by the Plain image
 
   RecoveryStats &operator+=(const RecoveryStats &R) {
-    WatermarkResets += R.WatermarkResets;
     FaultResets += R.FaultResets;
     RecoveredRetries += R.RecoveredRetries;
-    GeneratorFaults += R.GeneratorFaults;
     PlainFallbackCalls += R.PlainFallbackCalls;
     return *this;
   }

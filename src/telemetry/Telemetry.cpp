@@ -81,8 +81,6 @@ const char *fab::telemetry::eventName(EventKind K) {
     return "code_guard_trip";
   case EventKind::CodeSpaceReset:
     return "code_space_reset";
-  case EventKind::PlainFallback:
-    return "plain_fallback";
   case EventKind::BlockBuild:
     return "block_build";
   case EventKind::BlockInvalidate:
@@ -125,7 +123,6 @@ TelemetrySnapshot &TelemetrySnapshot::operator+=(const TelemetrySnapshot &R) {
   CodeEpoch = std::max(CodeEpoch, R.CodeEpoch);
   SpecializationsLive += R.SpecializationsLive;
   CodeSpaceUsed += R.CodeSpaceUsed;
-  DegradedMachines += R.DegradedMachines;
   TraceRecorded += R.TraceRecorded;
   TraceDropped += R.TraceDropped;
 
@@ -189,10 +186,8 @@ void TelemetrySnapshot::writeText(std::ostream &OS,
   Line("memo.gen_dyn_words", Memo.GenDynWords);
   OS << Prefix << ".memo.generator_efficiency " << generatorEfficiency()
      << '\n';
-  Line("recovery.watermark_resets", Recovery.WatermarkResets);
   Line("recovery.fault_resets", Recovery.FaultResets);
   Line("recovery.recovered_retries", Recovery.RecoveredRetries);
-  Line("recovery.generator_faults", Recovery.GeneratorFaults);
   Line("recovery.plain_fallback_calls", Recovery.PlainFallbackCalls);
   Line("decode_cache.blocks_built", DecodeCache.BlocksBuilt);
   Line("decode_cache.block_runs", DecodeCache.BlockRuns);
@@ -203,7 +198,6 @@ void TelemetrySnapshot::writeText(std::ostream &OS,
   Line("machine.code_epoch", CodeEpoch);
   Line("machine.specializations_live", SpecializationsLive);
   Line("machine.code_space_used", CodeSpaceUsed);
-  Line("machine.degraded", DegradedMachines);
   Line("trace.recorded", TraceRecorded);
   Line("trace.dropped", TraceDropped);
   if (Workers) {
@@ -343,11 +337,9 @@ std::string TelemetrySnapshot::summaryLine() const {
   }
   OS << "exec=" << Vm.Executed << " gen_runs=" << Memo.GeneratorRuns
      << " memo_hits=" << Memo.MemoHits << " gen_words=" << Memo.GenDynWords
-     << " eff=" << generatorEfficiency() << " resets="
-     << (Recovery.WatermarkResets + Recovery.FaultResets)
-     << " live=" << SpecializationsLive << " epoch=" << CodeEpoch;
-  if (DegradedMachines)
-    OS << " degraded=" << DegradedMachines;
+     << " eff=" << generatorEfficiency()
+     << " resets=" << Recovery.FaultResets << " live=" << SpecializationsLive
+     << " epoch=" << CodeEpoch;
   return OS.str();
 }
 

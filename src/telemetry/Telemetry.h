@@ -89,7 +89,6 @@ struct TelemetrySnapshot {
   uint64_t CodeEpoch = 0;          ///< max across aggregated machines
   uint64_t SpecializationsLive = 0;
   uint64_t CodeSpaceUsed = 0;      ///< bytes, summed across machines
-  unsigned DegradedMachines = 0;
   uint64_t TraceRecorded = 0;      ///< TraceRing events accepted
   uint64_t TraceDropped = 0;       ///< ... overwritten before being read
 

@@ -55,7 +55,6 @@ enum class EventKind : uint8_t {
                     ///< Arg1 = trap value (~0 for the VM hard bound)
   CodeSpaceReset,   ///< resetCodeSpace(); Arg0 = bytes that were in use,
                     ///< Epoch = the new epoch
-  PlainFallback,    ///< machine degraded to the Plain image
   BlockBuild,       ///< decode cache predecoded a block; Arg0 = base PC,
                     ///< Arg1 = instructions covered
   BlockInvalidate,  ///< cached block(s) dropped; Arg0 = first base PC,

@@ -195,7 +195,7 @@ TEST(CachePolicy, CompactionSurvivesInjectedCodeSpaceFaults) {
   SO.Pool.Cache.CompactWatermark = 1.0 / 65536.0;
   SO.Pool.Cache.CompactKeepFraction = 64.0;
   // Every fifth request arms a one-shot code-space fault mid-run; the
-  // machine's own recovery plus the request retry budget absorb it.
+  // machine's own reset-and-retry absorbs it.
   SO.Pool.BeforeRequest = [](unsigned, Machine &M, uint64_t Seq) {
     if (Seq % 5 == 0) {
       FaultInjector FI;

@@ -1,4 +1,4 @@
-//===- chaos_test.cpp - Deterministic chaos harness for the service -------===//
+//===- chaos_test.cpp - Seeded chaos harness for the service --------------===//
 //
 // Drives the overload-safe serving stack the way a hostile deployment
 // would, from a fixed seed: four workers with deliberately small queues,
@@ -9,8 +9,10 @@
 // deadlines on a slice of the requests — with breakers, retries, and
 // load shedding all live.
 //
-// The invariants are the service's whole contract, and they must hold
-// under any seed:
+// Each worker's fault schedule is seeded, but the ok/shed/retried counts
+// depend on how the submitter threads race for queue slots, so they vary
+// between runs of the same seed. Only the invariants are exact; they are
+// the service's whole contract, and they must hold under any seed:
 //   1. every future resolves (no deadlock, no abandoned promise);
 //   2. every resolved *value* is byte-identical to the host oracle;
 //   3. every resolved *error* is one of the structured overload/fault
@@ -18,8 +20,9 @@
 //   4. the telemetry accounting adds up: served + worker errors + sheds
 //      equals submissions.
 //
-// CI runs this under TSan with three fixed seeds; FAB_CHAOS_SEED=N
-// reruns any single seed locally. The seed is printed (and attached to
+// CI runs this under TSan with three fixed seeds, once as is and once
+// with FAB_RETRIES=0 (the machine's reset-and-retry is then the only
+// retry); FAB_CHAOS_SEED=N reruns any single seed locally. The seed is printed (and attached to
 // every failure via SCOPED_TRACE) so a failing run is reproducible.
 //
 //===----------------------------------------------------------------------===//
@@ -188,7 +191,6 @@ void runChaos(uint64_t Seed) {
     case FabErrc::Trapped:
     case FabErrc::OutOfFuel:
     case FabErrc::CodeSpaceExhausted:
-    case FabErrc::Degraded:
       ++WorkerErrors;
       break;
     default:

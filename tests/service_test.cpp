@@ -3,7 +3,8 @@
 // Covers the three layers of src/service/: SpecKey/SpecCache (value
 // keying, LRU eviction, pinning, epoch invalidation after
 // resetCodeSpace), MachinePool (per-worker isolation, heap recycling,
-// fault degradation without stalling), and SpecServer (futures,
+// faulting workers that never stall the pool, circuit breaking to the
+// Plain image), and SpecServer (futures,
 // coalescing, graceful shutdown, N-thread hammer against the
 // single-threaded Machine baseline). Also covers the core hooks the
 // service depends on: Machine::codeEpoch(), specializationsLive(), and
@@ -30,6 +31,14 @@ using namespace fab::service;
 namespace {
 
 const char *SimpleSrc = "fun f (k : int) (x : int) = x * k + k";
+
+/// Self calls in both arms of a late conditional: exponential emission
+/// that exhausts a shrunken code segment even from empty.
+const char *ScanSrc =
+    "fun scan (v : int vector, i, n) (best : int) ="
+    " if i = n then best"
+    " else if (v sub i) < best then scan (v, i + 1, n) (v sub i)"
+    " else scan (v, i + 1, n) (best)";
 
 /// A plain LRU of \p Capacity: the admission doorkeeper is off.
 CachePolicy lruPolicy(size_t Capacity) {
@@ -362,15 +371,12 @@ TEST(SpecServer, HeapRecyclingKeepsServing) {
 }
 
 TEST(SpecServer, FaultInjectedWorkerDegradesWithoutStallingPool) {
-  // Worker 0's machine faults on every generator run (a repeating
-  // injector); with a Plain fall-back image compiled it degrades after
-  // MaxGeneratorFaults. The pool keeps draining: every future resolves,
-  // other workers' results stay correct.
+  // Worker 0's machine faults on every run (a repeating injector), so its
+  // breaker for "f" opens. The pool keeps draining: every future
+  // resolves, and other workers' results stay correct.
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferredWithFallback());
   ServerOptions SO;
   SO.Pool.Workers = 2;
-  SO.Pool.Policy.MaxRetries = 0;
-  SO.Pool.Policy.MaxGeneratorFaults = 2;
   SO.Pool.ConfigureWorker = [](unsigned Idx, Machine &M) {
     if (Idx != 0)
       return;
@@ -407,11 +413,10 @@ TEST(SpecServer, FaultInjectedWorkerDegradesWithoutStallingPool) {
   EXPECT_GT(Faulted, 0u);
 
   TelemetrySnapshot W0 = S.workerStats(0);
-  EXPECT_EQ(W0.DegradedMachines, 1u);
-  EXPECT_GE(W0.Recovery.GeneratorFaults, 2u);
+  EXPECT_GE(W0.Overload.BreakerOpens, 1u);
   EXPECT_EQ(W0.Errors, Faulted);
   TelemetrySnapshot W1 = S.workerStats(1);
-  EXPECT_EQ(W1.DegradedMachines, 0u);
+  EXPECT_EQ(W1.Overload.BreakerOpens, 0u);
   EXPECT_EQ(W1.Served, Healthy);
 }
 
@@ -611,9 +616,6 @@ TEST(SpecServer, BreakerOpensRoutesToPlainThenRecloses) {
   SO.Pool.RetryBackoffUs = 0;
   SO.Pool.Breaker.FailureThreshold = 3;
   SO.Pool.Breaker.CooldownRequests = 4;
-  SO.Pool.Policy.MaxRetries = 0;
-  // The breaker, not machine-level degradation, must carry the episode.
-  SO.Pool.Policy.MaxGeneratorFaults = 1u << 30;
   std::atomic<bool> Disarm{false};
   uint32_t GenEntry = C.Unit.genAddr("f");
   SO.Pool.ConfigureWorker = [&](unsigned, Machine &M) {
@@ -673,7 +675,51 @@ TEST(SpecServer, BreakerOpensRoutesToPlainThenRecloses) {
   EXPECT_EQ(T.BreakersOpen, 0u);
   // Requests 13+ went back through the staged path.
   EXPECT_GT(T.Memo.GeneratorRuns, 0u);
-  EXPECT_EQ(T.DegradedMachines, 0u); // the machine itself never degraded
+}
+
+TEST(SpecServer, BreakerRoutesExhaustedEntryPointToPlain) {
+  // A generator that exhausts the code space even from an empty segment.
+  // The machine has already reset and retried, so the pool does not
+  // retry CodeSpaceExhausted; after FailureThreshold failures the breaker
+  // serves the entry point from the Plain image.
+  FabiusOptions Opts = FabiusOptions::deferredWithFallback();
+  Opts.Backend.CodeSpaceGuardMargin = layout::DynCodeBytes - 0x8000;
+  Compilation C = compileOrDie(ScanSrc, Opts);
+  ServerOptions SO;
+  SO.Pool.Workers = 1;
+  SO.Pool.RetryBackoffUs = 0;
+  const BreakerPolicy &BP = SO.Pool.Breaker;
+  SpecServer S(C, SO);
+
+  std::vector<int32_t> V(64, 5);
+  V[40] = 2;
+  auto call = [&] {
+    return S
+        .submit("scan", {Value::ofVec(V), Value::ofInt(0), Value::ofInt(64)},
+                {Value::ofInt(1000)},
+                SubmitOptions{/*DeadlineNs=*/0, /*MaxRetries=*/1})
+        .get();
+  };
+  for (unsigned I = 0; I < BP.FailureThreshold; ++I) {
+    FabResult<int32_t> R = call();
+    ASSERT_FALSE(R.ok()) << "request " << I;
+    EXPECT_EQ(R.error().Code, FabErrc::CodeSpaceExhausted);
+  }
+  TelemetrySnapshot T = S.telemetry();
+  EXPECT_EQ(T.Overload.Retried, 0u);
+  EXPECT_EQ(T.Recovery.FaultResets, 2u * BP.FailureThreshold);
+  EXPECT_EQ(T.Overload.BreakerOpens, 1u);
+  EXPECT_EQ(T.BreakersOpen, 1u);
+
+  for (unsigned I = 0; I < BP.CooldownRequests; ++I) {
+    FabResult<int32_t> R = call();
+    ASSERT_TRUE(R.ok()) << "cooldown request " << I << ": "
+                        << R.error().message();
+    EXPECT_EQ(*R, 2);
+  }
+  T = S.telemetry();
+  EXPECT_EQ(T.Overload.BreakerFallbacks, BP.CooldownRequests);
+  EXPECT_EQ(T.Recovery.PlainFallbackCalls, BP.CooldownRequests);
 }
 
 TEST(SpecServer, GracefulShutdownDrainsThenRejects) {

@@ -253,29 +253,26 @@ TEST(TelemetryTrace, GuardTripAndResetRecordedOnInjectedPressure) {
   EXPECT_LT(Trip - Evs.begin(), Reset - Evs.begin());
 }
 
-TEST(TelemetryTrace, PlainFallbackRecordedOnDegradation) {
-  FabiusOptions Opts = FabiusOptions::deferredWithFallback();
+TEST(TelemetryTrace, GuardTripsRecordedOnUnrecoveredPressure) {
+  FabiusOptions Opts = FabiusOptions::deferred();
   Opts.Backend.CodeSpaceGuardMargin = layout::DynCodeBytes - 0x8000;
   Compilation C = compileOrDie(ScanSrc, Opts);
-  ASSERT_TRUE(C.PlainUnit.has_value());
-  Machine M(C, tracing(/*Capacity=*/1u << 16));
-  CodeSpacePolicy P;
-  P.MaxRetries = 1;
-  P.MaxGeneratorFaults = 2;
-  M.setPolicy(P);
+  Machine M(C.Unit, tracing(/*Capacity=*/1u << 16));
 
   std::vector<int32_t> V(64, 5);
   V[40] = 2;
   uint32_t Vv = M.heap().vector(V);
-  const std::vector<uint32_t> Args = {Vv, 0, 64, 1000};
-  EXPECT_FALSE(M.invoke<int32_t>("scan", Args).ok());
-  EXPECT_FALSE(M.invoke<int32_t>("scan", Args).ok()); // second fault: degrade
-  ASSERT_TRUE(M.degraded());
+  FabResult<int32_t> R = M.invoke<int32_t>("scan", {Vv, 0, 64, 1000});
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Code, FabErrc::CodeSpaceExhausted);
 
+  // The first trip, its reset, the retry's trip and the final reset,
+  // which leaves the segment empty for the next operation.
   std::vector<TraceEvent> Evs = M.trace().snapshot();
-  EXPECT_EQ(countKind(Evs, EventKind::PlainFallback), 1u);
-  EXPECT_GE(countKind(Evs, EventKind::CodeGuardTrip), 2u);
-  EXPECT_EQ(M.telemetry().DegradedMachines, 1u);
+  EXPECT_EQ(countKind(Evs, EventKind::CodeGuardTrip), 2u);
+  EXPECT_EQ(countKind(Evs, EventKind::CodeSpaceReset), 2u);
+  EXPECT_EQ(M.telemetry().Recovery.FaultResets, 2u);
+  EXPECT_EQ(M.codeSpaceUsed(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -314,7 +311,6 @@ TEST(TelemetrySnapshotTest, MatchesMachineAccessorsOnEveryWorkload) {
     EXPECT_EQ(T.CodeEpoch, M.codeEpoch());
     EXPECT_EQ(T.SpecializationsLive, M.specializationsLive());
     EXPECT_EQ(T.CodeSpaceUsed, M.codeSpaceUsed());
-    EXPECT_EQ(T.DegradedMachines, M.degraded() ? 1u : 0u);
 
     // Entry profiles are sorted and their specialization columns sum
     // back to the machine-wide memo counters exactly.

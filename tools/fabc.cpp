@@ -263,16 +263,11 @@ int main(int Argc, char **Argv) {
 
     const RecoveryStats &R = T.Recovery;
     std::printf("recovery statistics:\n");
-    std::printf("  watermark resets      : %llu\n",
-                static_cast<unsigned long long>(R.WatermarkResets));
     std::printf("  fault resets          : %llu (recovered retries %llu)\n",
                 static_cast<unsigned long long>(R.FaultResets),
                 static_cast<unsigned long long>(R.RecoveredRetries));
-    std::printf("  generator faults      : %llu\n",
-                static_cast<unsigned long long>(R.GeneratorFaults));
-    std::printf("  plain fallback calls  : %llu%s\n",
-                static_cast<unsigned long long>(R.PlainFallbackCalls),
-                M.degraded() ? " (machine degraded)" : "");
+    std::printf("  plain fallback calls  : %llu\n",
+                static_cast<unsigned long long>(R.PlainFallbackCalls));
 
     if (!T.Entries.empty()) {
       std::printf("per entry point:\n");
