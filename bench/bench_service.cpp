@@ -8,8 +8,8 @@
 //     FAB-32 machine, so the pool makespan is the busiest worker's
 //     serving cycles — see docs/SERVICE.md);
 //   * warm-cache speedup versus an always-respecialize configuration
-//     (host cache and early-argument interning disabled, so every
-//     request pays a full generator run);
+//     (host cache off, which also turns off early-argument interning,
+//     so every request pays a full generator run);
 //   * a zero-generator-instructions check on the warm path and a
 //     byte-identical comparison against a single-threaded Machine.
 // Always writes BENCH_service.json so the perf trajectory is tracked
@@ -86,7 +86,6 @@ RunResult runServer(const Compilation &C, const std::vector<MixedRequest> &Reqs,
   ServerOptions SO;
   SO.Pool.Workers = Workers;
   SO.Pool.EnableCache = Cache;
-  SO.Pool.InternEarlyArgs = Cache;
   if (Tune)
     Tune(SO);
   SpecServer S(C, SO);
@@ -150,7 +149,7 @@ int main() {
   std::printf("\n%zu requests (48 dot-product keys + telnet filter)\n\n",
               NumRequests);
   std::printf("%8s  %18s  %16s  %16s\n", "workers", "makespan (cycles)",
-              "req/sim-second", "hits+coalesced");
+              "req/sim-second", "hits+memo");
   Series Makespan{"pool makespan", {}};
   double Tput1 = 0, Tput4 = 0;
   for (unsigned W : {1u, 2u, 4u}) {
@@ -268,9 +267,8 @@ int main() {
                           Value::ofInt(static_cast<int32_t>(N))},
                          {Value::ofVec(randomRow()), Value::ofInt(0)}});
     }
-    // Serve sequentially (one request per batch): submitted all at once
-    // the whole stream lands in one batch and repeated keys coalesce in
-    // the batch map without ever consulting the cache.
+    // One worker serves the stream in submission order, so every
+    // lookup, refusal and eviction below is exact.
     auto playChurn = [&](bool Admission) {
       ServerOptions SO;
       SO.Pool.Workers = 1;

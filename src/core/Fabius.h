@@ -49,7 +49,7 @@ struct FabiusOptions {
   /// Deferred mode only: additionally compile the program as a Plain
   /// (non-RTCG) image placed in the static code region above the deferred
   /// image, so a caller can route around the staged path through
-  /// Machine::callPlainInt (the serving layer's breaker and profile gate).
+  /// Machine::callPlainInt (the serving layer's circuit breaker).
   bool PlainFallback = false;
   /// When false, currying is collapsed and the program compiles to
   /// ordinary code (the paper's "without RTCG" configuration).
@@ -190,9 +190,9 @@ public:
 
   /// Calls the Plain fall-back image with the *combined* early+late
   /// argument list (Plain collapses currying). The serving layer uses
-  /// this to route a request around the staged path: while an entry
-  /// point's circuit breaker is open, and for cold keys the profile gate
-  /// turns away. Counts toward RecoveryStats::PlainFallbackCalls.
+  /// this to route a request around the staged path while an entry
+  /// point's circuit breaker is open. Counts toward
+  /// RecoveryStats::PlainFallbackCalls.
   FabResult<int32_t> callPlainInt(const std::string &Name,
                                   const std::vector<uint32_t> &Args);
 
@@ -212,14 +212,6 @@ public:
   fab::telemetry::TraceRing &trace() { return Sim.trace(); }
   const fab::telemetry::TraceRing &trace() const { return Sim.trace(); }
   void setTraceEnabled(bool On) { Sim.trace().setEnabled(On); }
-
-  /// Per-entry-point profile for \p Fn, or nullptr before its first
-  /// call/specialization. The pool's profile-guided specialization gate
-  /// reads reuse (Calls per Specialization) from here.
-  const EntryPointProfile *profileFor(const std::string &Fn) const {
-    auto It = Profiles.find(Fn);
-    return It == Profiles.end() ? nullptr : &It->second;
-  }
 
   /// Dynamic-code words emitted so far (== instructions generated).
   uint64_t instructionsGenerated() const {

@@ -170,7 +170,7 @@ bool decodeInvalidateReply(const Frame &F, uint64_t &Dropped);
 /// per connection; the server's read loop feeds whatever recv()
 /// returned and drains every complete frame before the next read — the
 /// socket-read batching that lands pipelined same-key requests in one
-/// worker batch for the MachinePool coalescer.
+/// worker batch.
 class FrameReader {
 public:
   explicit FrameReader(uint32_t MaxFrameBytes = DefaultMaxFrameBytes)

@@ -475,8 +475,8 @@ void WireServer::readReady(const ConnPtr &C, std::vector<uint8_t> &Buf,
   }
 
   // Drain every complete frame this read produced before returning to
-  // the event loop — the socket-read batch that feeds the pool
-  // coalescer. Level-triggered readiness re-arms us if the socket still
+  // the event loop, so pipelined requests reach the worker queues
+  // together. Level-triggered readiness re-arms us if the socket still
   // holds more than one ReadChunk.
   unsigned Batch = 0;
   Frame F;

@@ -37,8 +37,8 @@
 /// reply and hands it to the owning shard through a lock-guarded done
 /// queue plus a coalesced wakeup. Each reactor drains every complete
 /// frame a readable socket buffered before moving on, so a burst of
-/// pipelined same-key requests lands in one worker queue batch and hits
-/// the MachinePool coalescer.
+/// pipelined same-key requests lands in one worker queue batch and
+/// shares one specialization through that worker's SpecCache.
 ///
 /// Limits are enforced where they are cheapest: MaxConns at accept
 /// (refused with a typed Rejected before the connection ever reaches a

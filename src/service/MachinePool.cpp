@@ -2,11 +2,13 @@
 
 #include "service/MachinePool.h"
 
+#include "support/StringUtil.h"
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
+#include <unordered_map>
 
 using namespace fab;
 using namespace fab::service;
@@ -14,15 +16,24 @@ using namespace fab::service;
 MachinePool::MachinePool(const Compilation &C, const PoolOptions &O)
     : Comp(C), Opts(O) {
   // Process-wide robustness vetoes (see docs/INTERNALS.md): the env var
-  // always wins over the options the caller passed.
-  if (const char *E = std::getenv("FAB_QUEUE_DEPTH"))
-    Opts.MaxQueueDepth = static_cast<size_t>(std::strtoull(E, nullptr, 0));
+  // always wins over the options the caller passed. A count that does
+  // not parse is reported and ignored, never read as 0 or wrapped.
+  auto envCount = [](const char *Name, size_t &Out) {
+    const char *E = std::getenv(Name);
+    if (!E)
+      return;
+    if (std::optional<uint64_t> V = parseCount(E))
+      Out = static_cast<size_t>(*V);
+    else
+      std::fprintf(stderr, "fab: ignoring %s=%s (not a count); keeping %zu\n",
+                   Name, E, Out);
+  };
+  envCount("FAB_QUEUE_DEPTH", Opts.MaxQueueDepth);
   if (const char *E = std::getenv("FAB_BREAKER"); E && E[0] == '0' && !E[1])
     Opts.Breaker.Enabled = false;
   if (const char *E = std::getenv("FAB_RETRIES"); E && E[0] == '0' && !E[1])
     RetriesVetoed = true;
-  if (const char *E = std::getenv("FAB_CACHE_CAPACITY"))
-    Opts.Cache.Capacity = static_cast<size_t>(std::strtoull(E, nullptr, 0));
+  envCount("FAB_CACHE_CAPACITY", Opts.Cache.Capacity);
   Opts.Cache.Capacity = std::max<size_t>(1, Opts.Cache.Capacity);
   if (const char *E = std::getenv("FAB_ADMISSION"); E && E[0] == '0' && !E[1])
     Opts.Cache.Admission = false;
@@ -156,26 +167,31 @@ materialize(Machine &M, std::map<std::vector<int32_t>, uint32_t> *Intern,
   return Words;
 }
 
-/// Serves \p R through the Plain image, which collapses currying: the
-/// early and late arguments go to Machine::callPlainInt as one list. Both
-/// routes around the staged path (the profile gate and an open breaker)
-/// come through here.
-FabResult<int32_t>
-callPlain(Machine &M, std::map<std::vector<int32_t>, uint32_t> *Intern,
-          const Request &R) {
-  std::vector<uint32_t> Words = materialize(M, Intern, R.Early);
-  std::vector<uint32_t> LateW = materialize(M, nullptr, R.Late);
-  Words.insert(Words.end(), LateW.begin(), LateW.end());
-  return M.callPlainInt(R.Key.Fn, Words);
-}
-
 } // namespace
+
+FabResult<MachinePool::Resolved>
+MachinePool::resolve(Machine &M, SpecCache &Cache,
+                     std::map<std::vector<int32_t>, uint32_t> &Intern,
+                     const SpecKey &Key, const std::vector<Value> &Early) {
+  std::vector<uint32_t> Words =
+      materialize(M, Opts.EnableCache ? &Intern : nullptr, Early);
+  uint64_t GenBefore = M.vm().stats().DynWordsWritten;
+  FabResult<uint32_t> S = M.specialize(Key.Fn, Words);
+  if (!S)
+    return S.error();
+  Resolved Out{*S, (M.vm().stats().DynWordsWritten - GenBefore) * 4};
+  // specialize() may have reset the code space (reset-and-retry), so tag
+  // with the epoch as of *now*; the bytes fund the compaction planner's
+  // budget.
+  if (Opts.EnableCache)
+    Cache.insert(Key, Out.Addr, M.codeEpoch(), Out.Bytes);
+  return Out;
+}
 
 FabResult<int32_t>
 MachinePool::serve(Machine &M, SpecCache &Cache,
                    std::map<std::vector<int32_t>, uint32_t> &Intern,
-                   Request &R, BatchSpecMap &BatchSpecs,
-                   TelemetrySnapshot &Local) {
+                   Request &R, TelemetrySnapshot &Local) {
   VmStats Before = M.vm().stats();
   // Served/Errors are counted once per *request* by the worker loop, not
   // here: a request may run serve() several times (retries) and must not
@@ -185,62 +201,19 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
     return Res;
   };
 
-  // Resolve the specialization address: batch peer, then cache, then the
-  // generator.
-  uint32_t Addr = 0;
-  bool Have = false;
-  if (Opts.EnableCache) {
-    auto It = BatchSpecs.find(R.Key);
-    if (It != BatchSpecs.end() && It->second.second == M.codeEpoch()) {
-      Addr = It->second.first;
-      Have = true;
-      ++Local.Coalesced;
-    }
-    if (!Have) {
-      if (auto A = Cache.lookup(R.Key, M.codeEpoch())) {
-        Addr = *A;
-        Have = true;
-      }
-    }
-  }
-  if (!Have) {
-    // Profile gate: a cold key of an entry point whose observed reuse is
-    // below the threshold is served through the Plain image instead of
-    // paying ~9 instrs/instr generator cost that will never amortize.
-    // The sighting is recorded so the key's second occurrence — proof of
-    // reuse — specializes normally.
-    if (Opts.EnableCache && Opts.Cache.ProfileGate && M.hasPlainFallback() &&
-        !Cache.sighted(R.Key)) {
-      const EntryPointProfile *P = M.profileFor(R.Key.Fn);
-      double Reuse =
-          P ? static_cast<double>(P->Calls) /
-                  static_cast<double>(std::max<uint64_t>(1, P->Specializations))
-            : 0.0;
-      if (Reuse < Opts.Cache.ProfileMinReuse) {
-        Cache.recordSighting(R.Key);
-        Cache.noteProfileGated();
-        return finish(
-            callPlain(M, Opts.InternEarlyArgs ? &Intern : nullptr, R));
-      }
-    }
-    std::vector<uint32_t> EarlyWords =
-        materialize(M, Opts.InternEarlyArgs ? &Intern : nullptr, R.Early);
-    uint64_t GenBefore = M.vm().stats().DynWordsWritten;
-    FabResult<uint32_t> S = M.specialize(R.Key.Fn, EarlyWords);
+  std::optional<uint32_t> Addr;
+  if (Opts.EnableCache)
+    Addr = Cache.lookup(R.Key, M.codeEpoch());
+  if (!Addr) {
+    FabResult<Resolved> S = resolve(M, Cache, Intern, R.Key, R.Early);
     if (!S)
       return finish(S.error());
-    Addr = *S;
-    if (Opts.EnableCache) {
-      // specialize() may have reset the code space (reset-and-retry), so
-      // tag with the epoch as of *now*; the emitted-words delta funds the
-      // compaction planner's byte budget (0 on an in-VM memo hit).
-      uint64_t Bytes = (M.vm().stats().DynWordsWritten - GenBefore) * 4;
-      Cache.insert(R.Key, Addr, M.codeEpoch(), Bytes);
-      BatchSpecs[R.Key] = {Addr, M.codeEpoch()};
-    }
+    if (!S.value().Bytes)
+      ++Local.Coalesced; // the in-VM memo answered the miss
+    Addr = S.value().Addr;
   }
   std::vector<uint32_t> LateWords = materialize(M, nullptr, R.Late);
-  return finish(M.invoke<int32_t>(Addr, LateWords));
+  return finish(M.invoke<int32_t>(*Addr, LateWords));
 }
 
 void MachinePool::runWorker(unsigned Idx) {
@@ -361,11 +334,16 @@ void MachinePool::runWorker(unsigned Idx) {
     return N;
   };
 
-  // An open breaker's route around the staged path.
+  // An open breaker's route around the staged path: the Plain image
+  // collapses currying, so the early and late arguments go to
+  // Machine::callPlainInt as one list.
   auto servePlain = [&](Request &R) -> FabResult<int32_t> {
     VmStats Before = M->vm().stats();
-    FabResult<int32_t> Res =
-        callPlain(*M, Opts.InternEarlyArgs ? &Intern : nullptr, R);
+    std::vector<uint32_t> Words =
+        materialize(*M, Opts.EnableCache ? &Intern : nullptr, R.Early);
+    std::vector<uint32_t> LateW = materialize(*M, nullptr, R.Late);
+    Words.insert(Words.end(), LateW.begin(), LateW.end());
+    FabResult<int32_t> Res = M->callPlainInt(R.Key.Fn, Words);
     Local.BusyCyclesTotal += (M->vm().stats() - Before).Cycles;
     return Res;
   };
@@ -389,8 +367,7 @@ void MachinePool::runWorker(unsigned Idx) {
     return {Cap, FromDeadline};
   };
 
-  auto serveRobust = [&](Request &R,
-                         BatchSpecMap &BatchSpecs) -> FabResult<int32_t> {
+  auto serveRobust = [&](Request &R) -> FabResult<int32_t> {
     const bool Tracing = M->trace().enabled();
     const uint16_t NameId =
         Tracing ? telemetry::internName(R.Key.Fn) : uint16_t(0);
@@ -443,7 +420,7 @@ void MachinePool::runWorker(unsigned Idx) {
       auto [Cap, FromDeadline] = fuelCap(R);
       {
         ScopedFuelCap FC(M->vm(), Cap);
-        Res = serve(*M, Cache, Intern, R, BatchSpecs, Local);
+        Res = serve(*M, Cache, Intern, R, Local);
       }
       if (Res.ok())
         break;
@@ -511,7 +488,7 @@ void MachinePool::runWorker(unsigned Idx) {
   // funds — into a fresh segment, before pressure makes the Machine's
   // reset-and-retry dump the whole working set.
   // Early arguments are decoded straight out of the self-delimiting keys.
-  auto maybeCompact = [&](BatchSpecMap &BatchSpecs) {
+  auto maybeCompact = [&] {
     if (!Opts.EnableCache || !Opts.Cache.Compaction)
       return;
     const uint64_t Watermark = static_cast<uint64_t>(
@@ -524,22 +501,13 @@ void MachinePool::runWorker(unsigned Idx) {
         Cache.compactionPlan(KeepBytes, M->codeEpoch());
     const uint64_t Resident = Cache.size();
     Cache.clear();
-    BatchSpecs.clear();
     VmStats Before = M->vm().stats();
     M->resetCodeSpace();
     uint64_t Kept = 0;
     for (const SpecCache::PlanEntry &P : Plan) {
       std::optional<std::vector<Value>> Early = P.Key.earlyValues();
-      if (!Early)
+      if (!Early || !resolve(*M, Cache, Intern, P.Key, *Early))
         continue;
-      std::vector<uint32_t> Words =
-          materialize(*M, Opts.InternEarlyArgs ? &Intern : nullptr, *Early);
-      uint64_t GenBefore = M->vm().stats().DynWordsWritten;
-      FabResult<uint32_t> S = M->specialize(P.Key.Fn, Words);
-      if (!S)
-        continue;
-      uint64_t Bytes = (M->vm().stats().DynWordsWritten - GenBefore) * 4;
-      Cache.insert(P.Key, *S, M->codeEpoch(), Bytes);
       if (P.Pinned)
         Cache.pin(P.Key, true);
       ++Kept;
@@ -560,7 +528,6 @@ void MachinePool::runWorker(unsigned Idx) {
       Local.QueueHighWater = W.QueueHighWater;
     }
 
-    BatchSpecMap BatchSpecs;
     for (Request &R : Batch) {
       ++Seq;
       if (RetriesVetoed)
@@ -572,11 +539,10 @@ void MachinePool::runWorker(unsigned Idx) {
         rebuild();
         Cache.clear();
         Intern.clear();
-        BatchSpecs.clear();
         ++Local.HeapRecycles;
       }
       if (R.K == Request::Kind::Serve)
-        maybeCompact(BatchSpecs);
+        maybeCompact();
       if (Opts.BeforeRequest && R.K == Request::Kind::Serve)
         Opts.BeforeRequest(Idx, *M, Seq);
       const bool Tracing = M->trace().enabled();
@@ -588,20 +554,12 @@ void MachinePool::runWorker(unsigned Idx) {
       if (R.K == Request::Kind::Invalidate) {
         // Control request: drop this worker's cached addresses for the
         // named entry point (all of them when unnamed) and answer with
-        // the count. Batch peers produced before the invalidate must not
-        // be reused after it, so the in-batch spec map is purged too.
-        // The in-VM memo table is left alone: its entries key on
-        // interned early data whose content never changes, so anything
-        // it answers is still value-correct.
+        // the count. The in-VM memo table is left alone: its entries key
+        // on interned early data whose content never changes, so
+        // anything it answers is still value-correct.
         Res = static_cast<int32_t>(Cache.invalidate(R.Key.Fn));
-        if (R.Key.Fn.empty())
-          BatchSpecs.clear();
-        else
-          for (auto It = BatchSpecs.begin(); It != BatchSpecs.end();)
-            It = It->first.Fn == R.Key.Fn ? BatchSpecs.erase(It)
-                                          : std::next(It);
       } else {
-        Res = serveRobust(R, BatchSpecs);
+        Res = serveRobust(R);
       }
       if (Tracing)
         M->trace().record(telemetry::EventKind::WorkerComplete,

@@ -13,15 +13,16 @@
 /// generator runs, the specialized code itself — stays private to that
 /// worker's machine. No lock is ever held around simulator execution.
 ///
-/// Each worker drains its queue in batches. Within a batch, requests
-/// with the same specialization key are coalesced: the first one runs
-/// (or reuses) the generator, the rest jump straight to the produced
-/// address. The pool owns every code-space recovery decision above the
-/// Machine's fixed reset-and-retry: compaction (the only preemptive
-/// reclaim), request retries, and routing to the Plain image (circuit
-/// breaker, profile gate). A worker whose entry point keeps failing
-/// keeps draining its queue (answering with structured errors or
-/// Plain-fallback results) rather than stalling the pool.
+/// Each worker drains its queue in batches and resolves every request's
+/// specialization address one way: its SpecCache, then the generator,
+/// whose prologue answers from the paper's in-VM memo when the interned
+/// early data was specialized before. The pool owns every code-space
+/// recovery decision above the Machine's fixed reset-and-retry:
+/// compaction (the only preemptive reclaim), request retries, and
+/// routing to the Plain image (the circuit breaker). A worker whose
+/// entry point keeps failing keeps draining its queue (answering with
+/// structured errors or Plain-fallback results) rather than stalling
+/// the pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 namespace fab {
 namespace service {
@@ -99,22 +99,20 @@ struct BreakerPolicy {
 struct PoolOptions {
   unsigned Workers = 1;
   /// Cache policy for every worker's SpecCache: capacity, the admission
-  /// doorkeeper, compaction thresholds, the profile gate, and warm-start
-  /// persistence files. FAB_CACHE_CAPACITY / FAB_ADMISSION=0 /
-  /// FAB_CACHE_FILE override at process level (see docs/INTERNALS.md).
+  /// doorkeeper, compaction thresholds, and warm-start persistence
+  /// files. FAB_CACHE_CAPACITY / FAB_ADMISSION=0 / FAB_CACHE_FILE
+  /// override at process level (see docs/INTERNALS.md).
   CachePolicy Cache;
-  /// Host-side value-keyed caching of specialization addresses. Off =
-  /// every request goes through the generator path (the in-VM memo may
-  /// still answer it when the early data is interned).
+  /// Host-side reuse of specializations: the value-keyed SpecCache of
+  /// addresses, plus one heap copy per distinct early vector value
+  /// (content-addressed interning). Interning bounds heap growth and
+  /// keeps the in-VM memo effective across requests, since the memo
+  /// keys on pointer equality. Specialized code treats early data as
+  /// constant, so interned vectors must not be mutated by the program —
+  /// true of staged early arguments by construction. Off = the
+  /// always-respecialize baseline: every request re-materializes its
+  /// early data and runs the generator.
   bool EnableCache = true;
-  /// Reuse one heap copy per distinct early vector value (content-
-  /// addressed). Besides bounding heap growth this keeps the in-VM memo
-  /// effective across requests, since it keys on pointer equality.
-  /// Specialized code treats early data as constant, so interned vectors
-  /// must not be mutated by the program — true of staged early arguments
-  /// by construction. Off = re-materialize per request (with the cache
-  /// also off this is the always-respecialize baseline).
-  bool InternEarlyArgs = true;
   /// When the worker heap's bump pointer crosses HeapEnd - margin, the
   /// worker rebuilds its machine from the compilation (fresh heap and
   /// code space) and clears its cache and intern table.
@@ -153,7 +151,7 @@ class MachinePool {
 public:
   /// \p C must outlive the pool (machines are rebuilt from it on heap
   /// recycle). When C.PlainUnit is present each worker loads it for the
-  /// breaker and the profile gate.
+  /// circuit breaker.
   MachinePool(const Compilation &C, const PoolOptions &Opts);
   ~MachinePool();
 
@@ -217,16 +215,24 @@ private:
     std::thread Thread;
   };
 
-  /// Specializations produced earlier in the same batch: key -> (addr,
-  /// epoch). Peers reuse the address only while the epoch still matches.
-  using BatchSpecMap =
-      std::unordered_map<SpecKey, std::pair<uint32_t, uint64_t>, SpecKeyHash>;
-
   void runWorker(unsigned Idx);
   FabResult<int32_t> serve(Machine &M, SpecCache &Cache,
                            std::map<std::vector<int32_t>, uint32_t> &Intern,
-                           Request &R, BatchSpecMap &BatchSpecs,
-                           TelemetrySnapshot &Local);
+                           Request &R, TelemetrySnapshot &Local);
+  /// The one resolve step behind every cache miss, shared by serving and
+  /// compaction: lays \p Early out in the worker heap, runs the
+  /// generator for \p Key (its prologue answers from the in-VM memo
+  /// when the interned early data was specialized before), and records
+  /// the address in \p Cache with the code bytes the run emitted.
+  /// Returns those bytes (0 = the memo answered) with the address.
+  struct Resolved {
+    uint32_t Addr = 0;
+    uint64_t Bytes = 0;
+  };
+  FabResult<Resolved>
+  resolve(Machine &M, SpecCache &Cache,
+          std::map<std::vector<int32_t>, uint32_t> &Intern, const SpecKey &Key,
+          const std::vector<Value> &Early);
 
   const Compilation &Comp;
   PoolOptions Opts;

@@ -122,7 +122,6 @@ bool SpecCache::insert(const SpecKey &K, uint32_t Addr, uint64_t Epoch,
   if (It != Map.end()) {
     It->second.Addr = Addr;
     It->second.Epoch = Epoch;
-    CodeBytes += Bytes - It->second.Bytes;
     It->second.Bytes = Bytes;
     Lru.splice(Lru.begin(), Lru, It->second.LruIt);
     return true;
@@ -150,7 +149,6 @@ bool SpecCache::insert(const SpecKey &K, uint32_t Addr, uint64_t Epoch,
   E.Bytes = Bytes;
   E.LruIt = Lru.begin();
   Map.emplace(K, E);
-  CodeBytes += Bytes;
   return true;
 }
 
@@ -168,7 +166,6 @@ void SpecCache::evictOne() {
 
 void SpecCache::eraseEntry(
     std::unordered_map<SpecKey, Entry, SpecKeyHash>::iterator It) {
-  CodeBytes -= It->second.Bytes;
   Lru.erase(It->second.LruIt);
   Map.erase(It);
 }
@@ -185,13 +182,10 @@ size_t SpecCache::invalidate(const std::string &Fn) {
   size_t Dropped = 0;
   if (Fn.empty()) {
     Dropped = Map.size();
-    Map.clear();
-    Lru.clear();
-    CodeBytes = 0;
+    clear();
   } else {
     for (auto It = Map.begin(); It != Map.end();) {
       if (It->first.Fn == Fn) {
-        CodeBytes -= It->second.Bytes;
         Lru.erase(It->second.LruIt);
         It = Map.erase(It);
         ++Dropped;
@@ -207,11 +201,6 @@ size_t SpecCache::invalidate(const std::string &Fn) {
 void SpecCache::clear() {
   Map.clear();
   Lru.clear();
-  CodeBytes = 0;
-}
-
-bool SpecCache::sighted(const SpecKey &K) const {
-  return GhostMap.count(K.Hash) != 0;
 }
 
 void SpecCache::recordSighting(const SpecKey &K) {
@@ -280,9 +269,7 @@ void SpecCache::importEntry(const SpecKey &K, uint32_t Addr, uint64_t Epoch,
   auto [It, Inserted] = Map.emplace(K, E);
   if (!Inserted) {
     Lru.erase(It->second.LruIt);
-    CodeBytes -= It->second.Bytes;
     It->second = E;
   }
-  CodeBytes += Bytes;
   ++Stats.WarmRestored;
 }

@@ -118,9 +118,9 @@ struct SpecKeyHash {
 /// Everything policy-shaped about the cache layer, in one struct threaded
 /// SpecCache -> PoolOptions -> ServerOptions -> fabserve flags (see
 /// docs/SERVICE.md "Cache policy" and the docs/INTERNALS.md toggle
-/// table). The admission doorkeeper lives inside SpecCache; compaction,
-/// profile gating, and warm-start persistence are executed by the pool
-/// worker that owns the cache, against the fields here.
+/// table). The admission doorkeeper lives inside SpecCache; compaction
+/// and warm-start persistence are executed by the pool worker that owns
+/// the cache, against the fields here.
 struct CachePolicy {
   size_t Capacity = 1024;
   /// Ghost-LRU doorkeeper: a first-sighting insert that would force an
@@ -139,14 +139,6 @@ struct CachePolicy {
   bool Compaction = true;
   double CompactWatermark = 0.75; ///< fraction of DynCodeBytes
   double CompactKeepFraction = 0.5;
-  /// Profile-guided specialization: on a cold miss, consult the machine's
-  /// EntryPointProfile for the function — when its observed reuse
-  /// (calls per specialization) is below ProfileMinReuse and the key has
-  /// never been sighted, serve through the Plain image instead of paying
-  /// generator cost; the second sighting specializes. Requires a
-  /// compiled Plain fall-back (no-op without one). Off by default.
-  bool ProfileGate = false;
-  double ProfileMinReuse = 1.5;
   /// Warm-start persistence (docs/SERVICE.md "Cache policy" has the file
   /// format): LoadFile is restored worker-by-worker at boot, SaveFile is
   /// written at shutdown. FAB_CACHE_FILE=PATH sets both; FAB_CACHE_FILE=
@@ -192,13 +184,6 @@ public:
   /// describes the request stream, not the machine.
   void clear();
 
-  /// Whether the doorkeeper has seen \p K before (ghost LRU only — a
-  /// resident entry is not a "sighting"). recordSighting() notes one;
-  /// both are also used by the pool's profile gate, so a key gated to
-  /// the Plain image once specializes on its second occurrence.
-  bool sighted(const SpecKey &K) const;
-  void recordSighting(const SpecKey &K);
-
   /// The keys a compaction should carry into the fresh code space:
   /// every pinned entry, then the hottest unpinned entries in LRU order,
   /// stopping once their recorded bytes exceed \p MaxBytes. Entries from
@@ -215,7 +200,6 @@ public:
     Stats.CompactKept += Kept;
     Stats.CompactDropped += Dropped;
   }
-  void noteProfileGated() { ++Stats.ProfileGated; }
 
   /// Warm-start persistence hooks. exportEntries() returns the resident
   /// entries coldest-first, so replaying them through importEntry()
@@ -234,10 +218,6 @@ public:
                    uint64_t Bytes, bool Pinned);
 
   size_t size() const { return Map.size(); }
-  size_t capacity() const { return Policy.Capacity; }
-  const CachePolicy &policy() const { return Policy; }
-  /// Bytes of dynamic code attributed to resident entries.
-  uint64_t codeBytes() const { return CodeBytes; }
   const SpecCacheStats &stats() const { return Stats; }
 
 private:
@@ -249,6 +229,9 @@ private:
     std::list<SpecKey>::iterator LruIt; ///< position in Lru (front = hottest)
   };
 
+  /// Notes a doorkeeper sighting of \p K in the ghost LRU (a resident
+  /// entry is not a sighting).
+  void recordSighting(const SpecKey &K);
   void evictOne();
   void eraseEntry(std::unordered_map<SpecKey, Entry, SpecKeyHash>::iterator It);
   size_t ghostCapacity() const {
@@ -258,11 +241,10 @@ private:
   CachePolicy Policy;
   std::list<SpecKey> Lru;
   std::unordered_map<SpecKey, Entry, SpecKeyHash> Map;
-  /// Doorkeeper ghost LRU: hashes of refused/gated keys, most recent at
-  /// the front, bounded by ghostCapacity().
+  /// Doorkeeper ghost LRU: hashes of refused keys, most recent at the
+  /// front, bounded by ghostCapacity().
   std::list<uint64_t> Ghost;
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> GhostMap;
-  uint64_t CodeBytes = 0;
   SpecCacheStats Stats;
 };
 

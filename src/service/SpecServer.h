@@ -9,7 +9,7 @@
 /// returns a std::future of the call result. Requests are routed to a
 /// worker by the hash of their specialization key, so all requests with
 /// the same early values land on the same machine and share one
-/// specialization (via batch coalescing and the worker's SpecCache);
+/// specialization (via the worker's SpecCache and in-VM memo);
 /// distinct keys spread across the pool. Arguments travel as host-side
 /// *values* (ints and vectors), never machine addresses — each worker
 /// materializes them into its own heap.

@@ -2,8 +2,11 @@
 
 #include "support/StringUtil.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 using namespace fab;
@@ -31,4 +34,15 @@ std::string fab::formatf(const char *Fmt, ...) {
   std::vsnprintf(Buf.data(), Buf.size(), Fmt, Args);
   va_end(Args);
   return std::string(Buf.data(), static_cast<size_t>(Needed));
+}
+
+std::optional<uint64_t> fab::parseCount(const char *S) {
+  if (!S || !std::isdigit(static_cast<unsigned char>(S[0])))
+    return std::nullopt;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(S, &End, 0);
+  if (*End || errno == ERANGE)
+    return std::nullopt;
+  return V;
 }

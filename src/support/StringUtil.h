@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Formatting helpers shared by the disassembler, diagnostics, and bench
-/// report printers.
+/// report printers, and the strict count parser behind numeric flags and
+/// environment overrides.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #define FAB_SUPPORT_STRINGUTIL_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace fab {
@@ -26,6 +28,13 @@ std::string fixed(double Value, int Places);
 
 /// printf-style formatting into a std::string.
 std::string formatf(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Parses \p S as a whole unsigned count in strtoull base-0 syntax
+/// (decimal, 0x hex, 0 octal). Returns std::nullopt for anything else:
+/// an empty string, a sign or leading space, trailing characters, or a
+/// value past UINT64_MAX. strtoull alone reads "abc" as 0 and "-1" as
+/// UINT64_MAX.
+std::optional<uint64_t> parseCount(const char *S);
 
 } // namespace fab
 

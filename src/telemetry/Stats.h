@@ -155,9 +155,6 @@ struct SpecCacheStats {
   uint64_t Compactions = 0;
   uint64_t CompactKept = 0;    ///< entries re-specialized across a compaction
   uint64_t CompactDropped = 0; ///< entries abandoned by compactions
-  /// Cold requests the profile gate routed to the Plain image instead of
-  /// paying generator cost (CachePolicy::ProfileGate).
-  uint64_t ProfileGated = 0;
   /// Entries restored from a warm-start file (CachePolicy::LoadFile).
   uint64_t WarmRestored = 0;
 
@@ -177,7 +174,6 @@ struct SpecCacheStats {
     Compactions += R.Compactions;
     CompactKept += R.CompactKept;
     CompactDropped += R.CompactDropped;
-    ProfileGated += R.ProfileGated;
     WarmRestored += R.WarmRestored;
     return *this;
   }
@@ -225,7 +221,7 @@ struct NetStats {
   uint64_t BatchedFrames = 0;  ///< frames that arrived sharing a recv()
                                ///< with at least one other frame (the
                                ///< socket-read batching feeding the
-                               ///< MachinePool coalescer)
+                               ///< worker queues)
   uint64_t Submits = 0;        ///< SubmitSpecialize/Call frames accepted
   uint64_t Invalidates = 0;    ///< Invalidate frames served
   uint64_t StatsRequests = 0;  ///< Stats frames served

@@ -234,7 +234,6 @@ void TelemetrySnapshot::writeText(std::ostream &OS,
     Line("cache.compactions", Cache.Compactions);
     Line("cache.compact_kept", Cache.CompactKept);
     Line("cache.compact_dropped", Cache.CompactDropped);
-    Line("cache.profile_gated", Cache.ProfileGated);
     Line("cache.warm_restored", Cache.WarmRestored);
     for (const WorkerLoadRow &W : WorkerLoads) {
       auto WLine = [&](const char *Path, uint64_t V) {

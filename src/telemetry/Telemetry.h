@@ -98,6 +98,8 @@ struct TelemetrySnapshot {
   uint64_t Served = 0;
   uint64_t Errors = 0;
   uint64_t Rejected = 0;
+  /// Serve-path cache misses the in-VM memo answered without emitting
+  /// code (the generator's prologue found the interned early data).
   uint64_t Coalesced = 0;
   uint64_t QueueHighWater = 0; ///< max across workers
   uint64_t BusyCyclesTotal = 0;

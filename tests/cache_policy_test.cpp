@@ -2,9 +2,9 @@
 //
 // Covers the CachePolicy subsystem end to end: the ghost-LRU admission
 // doorkeeper (scan resistance at the SpecCache level and through a full
-// server), selective code-space compaction (alone and under injected
-// code-space faults), profile-guided specialization (cold keys served
-// through the Plain image with exact counter accounting), warm-start
+// server, and how batch peers of one key meet it), selective code-space
+// compaction (alone and under injected code-space faults), strict
+// parsing of the FAB_CACHE_CAPACITY/FAB_QUEUE_DEPTH overrides, warm-start
 // persistence (save/restore round trip that is byte-identical and
 // generator-free, plus graceful cold-start on corrupt or mismatched
 // files), and the self-delimiting SpecKey word encoding that compaction
@@ -16,14 +16,17 @@
 #include "service/SpecServer.h"
 
 #include "support/Rng.h"
+#include "support/StringUtil.h"
 #include "workloads/MlPrograms.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 
 using namespace fab;
 using namespace fab::service;
@@ -33,6 +36,25 @@ namespace {
 const char *SimpleSrc = "fun f (k : int) (x : int) = x * k + k";
 
 SpecKey intKey(int32_t K) { return SpecKey::make("f", {Value::ofInt(K)}); }
+
+/// A BeforeRequest hook that parks a one-worker pool inside its first
+/// request until release(), so whatever is submitted meanwhile is
+/// drained afterwards as one batch.
+struct ParkFirstRequest {
+  std::promise<void> EnteredP, ReleaseP;
+  std::future<void> Entered = EnteredP.get_future();
+  std::shared_future<void> Released = ReleaseP.get_future().share();
+
+  std::function<void(unsigned, Machine &, uint64_t)> hook() {
+    return [this](unsigned, Machine &, uint64_t Seq) {
+      if (Seq == 1) {
+        EnteredP.set_value();
+        Released.wait();
+      }
+    };
+  }
+  void release() { ReleaseP.set_value(); }
+};
 
 } // namespace
 
@@ -113,10 +135,16 @@ TEST(CachePolicy, DoorkeeperResistsOneShotScan) {
   EXPECT_TRUE(Cache.lookup(Repeat, 0).has_value());
 
   // The ghost list describes the request stream, not the machine: it
-  // survives clear() (heap recycling must not forget sightings).
-  Cache.recordSighting(intKey(777));
+  // survives clear() (heap recycling must not forget sightings). Key 777
+  // is refused at a full cache; after clear() and a refill, its next
+  // insert is admitted as a second sighting instead of refused again.
+  EXPECT_FALSE(Cache.insert(intKey(777), 0xBB00u, 0));
   Cache.clear();
-  EXPECT_TRUE(Cache.sighted(intKey(777)));
+  for (int32_t K = 1; K <= 4; ++K)
+    EXPECT_TRUE(Cache.insert(intKey(K), 0x100u * K, 0));
+  EXPECT_TRUE(Cache.insert(intKey(777), 0xBB00u, 0));
+  EXPECT_EQ(Cache.stats().AdmissionRejects, 102u);
+  EXPECT_EQ(Cache.stats().AdmissionAdmits, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -157,6 +185,112 @@ TEST(CachePolicy, ServerKeepsHotKeysThroughScanChurn) {
   EXPECT_EQ(St.Cache.Hits, 40u);              // every post-warm-up hot request
   EXPECT_EQ(St.Cache.AdmissionRejects, 20u);  // every scan key, exactly once
   EXPECT_EQ(St.Cache.Evictions, 0u);          // the hot set never churned
+}
+
+//===----------------------------------------------------------------------===//
+// Batch peers resolve through the cache and the in-VM memo
+//===----------------------------------------------------------------------===//
+
+TEST(CachePolicy, BatchPeersResolveThroughCacheAndMemo) {
+  // One cache slot, held by key 1. Four requests for key 2 arrive in
+  // one batch. The first specializes, and the doorkeeper refuses it (a
+  // first sighting that would force an eviction). The second misses the
+  // cache, the in-VM memo answers it without emitting code, and as the
+  // key's second sighting it is admitted. The next two hit the cache.
+  // An invalidate in the same batch then drops key 2, so the request
+  // after it misses and the memo answers it again.
+  Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
+  ServerOptions SO;
+  SO.Pool.Workers = 1;
+  SO.Pool.Cache.Capacity = 1;
+  ParkFirstRequest Park;
+  SO.Pool.BeforeRequest = Park.hook();
+  SpecServer S(C, SO);
+
+  auto Resident = S.submit("f", {Value::ofInt(1)}, {Value::ofInt(10)});
+  Park.Entered.wait();
+  std::vector<std::future<FabResult<int32_t>>> Peers;
+  for (int32_t X = 0; X < 4; ++X)
+    Peers.push_back(S.submit("f", {Value::ofInt(2)}, {Value::ofInt(X)}));
+  std::promise<FabResult<int32_t>> DroppedP;
+  std::future<FabResult<int32_t>> Dropped = DroppedP.get_future();
+  S.invalidateAsync("f", [&DroppedP](FabResult<int32_t> N) {
+    DroppedP.set_value(std::move(N));
+  });
+  Peers.push_back(S.submit("f", {Value::ofInt(2)}, {Value::ofInt(4)}));
+  Park.release();
+
+  FabResult<int32_t> R = Resident.get(), N = Dropped.get();
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(*R, 11);
+  ASSERT_TRUE(N.ok());
+  EXPECT_EQ(*N, 1);
+  for (int32_t X = 0; X < 5; ++X) {
+    FabResult<int32_t> P = Peers[X].get();
+    ASSERT_TRUE(P.ok()) << "peer " << X;
+    EXPECT_EQ(*P, 2 * X + 2) << "peer " << X;
+  }
+  TelemetrySnapshot St = S.telemetry();
+  EXPECT_EQ(St.Cache.AdmissionRejects, 1u);
+  EXPECT_EQ(St.Cache.AdmissionAdmits, 1u);
+  EXPECT_EQ(St.Cache.Evictions, 1u);
+  EXPECT_EQ(St.Cache.Invalidated, 1u);
+  EXPECT_EQ(St.Cache.Hits, 2u);
+  EXPECT_EQ(St.Cache.Misses, 4u);
+  EXPECT_EQ(St.Coalesced, 2u);
+  EXPECT_EQ(St.Memo.GeneratorRuns, 4u);
+  EXPECT_EQ(St.Memo.MemoHits, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Process-level count overrides
+//===----------------------------------------------------------------------===//
+
+TEST(PoolEnv, MalformedCountOverridesKeepOptionValues) {
+  // The parser behind FAB_QUEUE_DEPTH, FAB_CACHE_CAPACITY and fabserve's
+  // numeric flags accepts only a whole unsigned count.
+  EXPECT_EQ(parseCount("1024"), 1024u);
+  EXPECT_EQ(parseCount("0x10"), 16u);
+  for (const char *Bad : {"", "abc", "-1", " 1", "12x", "99999999999999999999"})
+    EXPECT_FALSE(parseCount(Bad)) << '"' << Bad << '"';
+
+  // strtoull reads "abc" as 0 (an unbounded queue) and "-1" as
+  // UINT64_MAX (a cache that never refuses). Both are reported, and the
+  // pool keeps the depth and capacity it was given: 1 each.
+  Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
+  ServerOptions SO;
+  SO.Pool.Workers = 1;
+  SO.Pool.MaxQueueDepth = 1;
+  SO.Pool.Cache.Capacity = 1;
+  ParkFirstRequest Park;
+  SO.Pool.BeforeRequest = Park.hook();
+  setenv("FAB_QUEUE_DEPTH", "abc", 1);
+  setenv("FAB_CACHE_CAPACITY", "-1", 1);
+  testing::internal::CaptureStderr();
+  SpecServer S(C, SO);
+  std::string Err = testing::internal::GetCapturedStderr();
+  unsetenv("FAB_QUEUE_DEPTH");
+  unsetenv("FAB_CACHE_CAPACITY");
+  EXPECT_NE(Err.find("FAB_QUEUE_DEPTH=abc"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("FAB_CACHE_CAPACITY=-1"), std::string::npos) << Err;
+
+  auto F0 = S.submit("f", {Value::ofInt(1)}, {Value::ofInt(5)});
+  Park.Entered.wait();
+  auto F1 = S.submit("f", {Value::ofInt(2)}, {Value::ofInt(5)});
+  auto F2 = S.submit("f", {Value::ofInt(3)}, {Value::ofInt(5)});
+  // Depth 1: the second queued request is shed at once.
+  bool ShedAtOnce =
+      F2.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  Park.release();
+  EXPECT_TRUE(ShedAtOnce);
+  FabResult<int32_t> R0 = F0.get(), R1 = F1.get(), R2 = F2.get();
+  ASSERT_TRUE(R0.ok() && R1.ok());
+  EXPECT_EQ(*R0, 6);
+  EXPECT_EQ(*R1, 12);
+  EXPECT_TRUE(!R2.ok() && R2.error().Code == FabErrc::Rejected);
+  // Capacity 1: key 1 holds the slot, so key 2's first sighting is
+  // refused.
+  EXPECT_EQ(S.telemetry().Cache.AdmissionRejects, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,54 +355,6 @@ TEST(CachePolicy, CompactionSurvivesInjectedCodeSpaceFaults) {
   EXPECT_EQ(St.Errors, 0u);
   EXPECT_EQ(St.Served, 30u);
   EXPECT_GT(St.Cache.Compactions, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Profile-guided specialization
-//===----------------------------------------------------------------------===//
-
-TEST(CachePolicy, ProfileGateServesColdKeyThroughPlainImage) {
-  Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferredWithFallback());
-  ServerOptions SO;
-  SO.Pool.Workers = 1;
-  SO.Pool.Cache.ProfileGate = true; // default MinReuse = 1.5
-  SpecServer S(C, SO);
-
-  // Cold key, no profile yet: served through the Plain image — zero
-  // generator runs, zero emitted words, exactly one plain-image call.
-  FabResult<int32_t> R1 = S.call("f", {Value::ofInt(6)}, {Value::ofInt(10)});
-  ASSERT_TRUE(R1.ok());
-  EXPECT_EQ(*R1, 66);
-  TelemetrySnapshot St = S.telemetry();
-  EXPECT_EQ(St.Cache.ProfileGated, 1u);
-  EXPECT_EQ(St.Memo.GeneratorRuns, 0u);
-  EXPECT_EQ(St.Vm.DynWordsWritten, 0u);
-  EXPECT_EQ(St.Recovery.PlainFallbackCalls, 1u);
-  EXPECT_EQ(St.Served, 1u);
-
-  // Second occurrence is proof of reuse: the key specializes normally.
-  FabResult<int32_t> R2 = S.call("f", {Value::ofInt(6)}, {Value::ofInt(11)});
-  ASSERT_TRUE(R2.ok());
-  EXPECT_EQ(*R2, 72);
-  St = S.telemetry();
-  EXPECT_EQ(St.Memo.GeneratorRuns, 1u);
-  EXPECT_GT(St.Vm.DynWordsWritten, 0u);
-
-  // Third request of the same key hits the host cache.
-  FabResult<int32_t> R3 = S.call("f", {Value::ofInt(6)}, {Value::ofInt(12)});
-  ASSERT_TRUE(R3.ok());
-  EXPECT_EQ(*R3, 78);
-  EXPECT_EQ(S.telemetry().Cache.Hits, 1u);
-
-  // By now the entry point has measured reuse (3 calls / 1
-  // specialization >= 1.5), so a brand-new key specializes on first
-  // sight instead of being gated.
-  FabResult<int32_t> R4 = S.call("f", {Value::ofInt(9)}, {Value::ofInt(10)});
-  ASSERT_TRUE(R4.ok());
-  EXPECT_EQ(*R4, 99);
-  St = S.telemetry();
-  EXPECT_EQ(St.Cache.ProfileGated, 1u); // unchanged
-  EXPECT_EQ(St.Memo.GeneratorRuns, 2u);
 }
 
 //===----------------------------------------------------------------------===//

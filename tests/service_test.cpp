@@ -4,11 +4,10 @@
 // keying, LRU eviction, pinning, epoch invalidation after
 // resetCodeSpace), MachinePool (per-worker isolation, heap recycling,
 // faulting workers that never stall the pool, circuit breaking to the
-// Plain image), and SpecServer (futures,
-// coalescing, graceful shutdown, N-thread hammer against the
-// single-threaded Machine baseline). Also covers the core hooks the
-// service depends on: Machine::codeEpoch(), specializationsLive(), and
-// the memo hit/miss counters.
+// Plain image), and SpecServer (futures, graceful shutdown, N-thread
+// hammer against the single-threaded Machine baseline). Also covers the
+// core hooks the service depends on: Machine::codeEpoch(),
+// specializationsLive(), and the memo hit/miss counters.
 //
 //===----------------------------------------------------------------------===//
 

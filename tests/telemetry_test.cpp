@@ -451,7 +451,6 @@ TEST(ServiceTelemetry, MultiWorkerAggregateAndWorkerEvents) {
   // No host-side cache: every request is served individually, so the
   // served count below is exact.
   SO.Pool.EnableCache = false;
-  SO.Pool.InternEarlyArgs = false;
   SO.Pool.Vm.EnableTrace = true;
 
   const size_t N = 40;

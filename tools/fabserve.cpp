@@ -9,7 +9,7 @@
 //
 // Usage: fabserve [--workers N] [--requests N] [--rows N] [--len N]
 //                 [--seed S] [--no-cache] [--cache-capacity N]
-//                 [--no-admission] [--no-compaction] [--profile-gate]
+//                 [--no-admission] [--no-compaction]
 //                 [--cache-load FILE] [--cache-save FILE]
 //                 [--report-interval MS] [--trace FILE]
 //                 [--queue-depth N] [--deadline-ms N] [--retries N]
@@ -51,12 +51,12 @@
 // Cache policy (see docs/SERVICE.md "Cache policy"): --cache-capacity
 // sizes each worker's SpecCache, --no-admission disables the ghost-LRU
 // doorkeeper (reverting to plain LRU), --no-compaction disables
-// selective code-space rebuilds, --profile-gate serves cold keys via
-// the Plain image when the entry point's observed reuse is too low
-// (requires a Plain fall-back, so it implies the fallback compile), and
-// --cache-load/--cache-save restore/persist warm cache state so a
-// restarted server skips the cold phase. FAB_CACHE_CAPACITY,
-// FAB_ADMISSION=0, and FAB_CACHE_FILE override at process level.
+// selective code-space rebuilds, and --cache-load/--cache-save
+// restore/persist warm cache state so a restarted server skips the cold
+// phase. --no-cache turns off the host cache and early-argument
+// interning together (the always-respecialize baseline).
+// FAB_CACHE_CAPACITY, FAB_ADMISSION=0, and FAB_CACHE_FILE override at
+// process level.
 //
 // --chaos turns fabserve into a chaos harness seeded by --seed: every
 // worker randomly arms one-shot fault injectors and forces mid-flight
@@ -74,6 +74,7 @@
 #include "net/WireServer.h"
 #include "service/SpecServer.h"
 #include "support/Rng.h"
+#include "support/StringUtil.h"
 #include "workloads/MlPrograms.h"
 
 #include <atomic>
@@ -100,7 +101,7 @@ namespace {
                "usage: fabserve [--workers N] [--requests N] [--rows N]\n"
                "                [--len N] [--seed S] [--no-cache]\n"
                "                [--cache-capacity N] [--no-admission]\n"
-               "                [--no-compaction] [--profile-gate]\n"
+               "                [--no-compaction]\n"
                "                [--cache-load FILE] [--cache-save FILE]\n"
                "                [--report-interval MS] [--trace FILE]\n"
                "                [--queue-depth N] [--deadline-ms N]\n"
@@ -111,11 +112,10 @@ namespace {
 }
 
 uint64_t parseNum(const char *S) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 0);
-  if (!End || *End)
+  std::optional<uint64_t> V = parseCount(S);
+  if (!V)
     usage("malformed number");
-  return V;
+  return *V;
 }
 
 struct MixedRequest {
@@ -139,7 +139,6 @@ int main(int argc, char **argv) {
   bool Cache = true;
   bool Admission = true;
   bool Compaction = true;
-  bool ProfileGate = false;
   std::string CacheLoad, CacheSave;
   unsigned ReportIntervalMs = 0;
   std::string TraceFile;
@@ -179,8 +178,6 @@ int main(int argc, char **argv) {
       Admission = false;
     else if (A == "--no-compaction")
       Compaction = false;
-    else if (A == "--profile-gate")
-      ProfileGate = true;
     else if (A == "--cache-load")
       CacheLoad = next();
     else if (A == "--cache-save")
@@ -217,12 +214,10 @@ int main(int argc, char **argv) {
     usage("counts must be nonzero");
 
   // The mixed program: matmul's dotloop plus the staged BPF interpreter.
-  // Chaos mode and the profile gate both need the Plain fall-back image:
-  // chaos so circuit-broken entry points keep producing correct answers
-  // while cooling down, the gate so cold keys have somewhere to run.
-  FabiusOptions Opts = (Chaos || ProfileGate)
-                           ? FabiusOptions::deferredWithFallback()
-                           : FabiusOptions::deferred();
+  // Chaos mode needs the Plain fall-back image, so circuit-broken entry
+  // points keep producing correct answers while cooling down.
+  FabiusOptions Opts = Chaos ? FabiusOptions::deferredWithFallback()
+                             : FabiusOptions::deferred();
   Opts.Backend.MemoizedSelfCalls.insert("eval");
   std::string Src =
       std::string(workloads::MatmulSrc) + "\n" + workloads::EvalSrc;
@@ -269,20 +264,20 @@ int main(int argc, char **argv) {
   ServerOptions SO;
   SO.Pool.Workers = Workers;
   SO.Pool.EnableCache = Cache;
-  SO.Pool.InternEarlyArgs = Cache;
   SO.Pool.Cache.Capacity = CacheCapacity;
   SO.Pool.Cache.Admission = Admission;
   SO.Pool.Cache.Compaction = Compaction;
-  SO.Pool.Cache.ProfileGate = ProfileGate;
   SO.Pool.Cache.LoadFile = CacheLoad;
   SO.Pool.Cache.SaveFile = CacheSave;
   // Chaos defaults to a deliberately small queue so overload bursts
   // actually shed; an explicit --queue-depth always wins. The pool
-  // applies the FAB_QUEUE_DEPTH veto itself; mirror it here so the
-  // banner prints the depth actually in effect.
+  // applies the FAB_QUEUE_DEPTH veto itself (and reports a malformed
+  // value); mirror it with the same parser so the banner prints the
+  // depth actually in effect.
   SO.Pool.MaxQueueDepth = (Chaos && !QueueDepthSet) ? 16 : QueueDepth;
   if (const char *Env = std::getenv("FAB_QUEUE_DEPTH"))
-    SO.Pool.MaxQueueDepth = std::strtoull(Env, nullptr, 0);
+    if (std::optional<uint64_t> D = parseCount(Env))
+      SO.Pool.MaxQueueDepth = *D;
   SO.Pool.Breaker.Enabled = Breaker;
   SO.ReportIntervalMs = ReportIntervalMs;
   if (!TraceFile.empty())
@@ -459,7 +454,7 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(T.QueueHighWater));
   std::printf("  cache                 : %llu hits, %llu misses, %llu "
               "evictions, %llu rehydrations (%.1f%% hit rate), %llu "
-              "coalesced\n",
+              "misses answered by the in-VM memo\n",
               static_cast<unsigned long long>(T.Cache.Hits),
               static_cast<unsigned long long>(T.Cache.Misses),
               static_cast<unsigned long long>(T.Cache.Evictions),
@@ -467,16 +462,15 @@ int main(int argc, char **argv) {
               100.0 * T.Cache.hitRate(),
               static_cast<unsigned long long>(T.Coalesced));
   if (T.Cache.AdmissionRejects || T.Cache.AdmissionAdmits ||
-      T.Cache.Compactions || T.Cache.ProfileGated || T.Cache.WarmRestored)
+      T.Cache.Compactions || T.Cache.WarmRestored)
     std::printf("  cache policy          : %llu admission rejects, %llu "
                 "second-sighting admits, %llu compactions (%llu kept / %llu "
-                "dropped), %llu profile-gated, %llu warm-restored\n",
+                "dropped), %llu warm-restored\n",
                 static_cast<unsigned long long>(T.Cache.AdmissionRejects),
                 static_cast<unsigned long long>(T.Cache.AdmissionAdmits),
                 static_cast<unsigned long long>(T.Cache.Compactions),
                 static_cast<unsigned long long>(T.Cache.CompactKept),
                 static_cast<unsigned long long>(T.Cache.CompactDropped),
-                static_cast<unsigned long long>(T.Cache.ProfileGated),
                 static_cast<unsigned long long>(T.Cache.WarmRestored));
   std::printf("  generator             : %llu runs (in-VM memo %llu hits, "
               "%llu misses), %llu instr words\n",
