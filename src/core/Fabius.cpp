@@ -184,7 +184,7 @@ void Machine::resetCodeSpace() {
   // block over it is garbage now, not merely stale.
   Sim.invalidateDecodeCache(layout::DynCodeBase, layout::DynCodeEnd);
   ++CodeEpoch;
-  AddrOwner.clear();
+  Specs.clear();
   // Advance the ring epoch before recording so the reset event (and
   // everything after it) carries the epoch it opens; Arg0 records how
   // many bytes the closing epoch had emitted.
@@ -351,15 +351,18 @@ FabResult<uint32_t> Machine::specialize(const std::string &Name,
   if (Tracing)
     Ring.record(telemetry::EventKind::SpecializeEnd, Sim.stats().Executed,
                 R.V0, GenWords, NameId);
-  AddrOwner[R.V0] = Name;
+  SpecRecord &Rec = Specs[R.V0];
+  Rec.Fn = Name;
+  if (GenWords)
+    Rec.Bytes = GenWords * 4;
   return R.V0;
 }
 
 ExecResult Machine::callAt(uint32_t Addr, const std::vector<uint32_t> &Args) {
   // Attribute the call to the entry point that produced Addr (this
   // epoch's specializations only; the map clears on reset).
-  if (auto It = AddrOwner.find(Addr); It != AddrOwner.end())
-    ++Profiles[It->second].Calls;
+  if (auto It = Specs.find(Addr); It != Specs.end())
+    ++Profiles[It->second.Fn].Calls;
   return runGuarded(Addr, Args);
 }
 

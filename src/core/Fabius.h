@@ -187,6 +187,14 @@ public:
       dieOnError(R.error());
     return *R;
   }
+  /// Bytes of dynamic code the specialize() run that produced \p Addr
+  /// emitted, for addresses specialize() returned in the current code
+  /// epoch (0 for any other address). A later run the in-VM memo answers
+  /// with the same address emits nothing but reports the same size here.
+  uint64_t specializationBytes(uint32_t Addr) const {
+    auto It = Specs.find(Addr);
+    return It == Specs.end() ? 0 : It->second.Bytes;
+  }
 
   /// Calls the Plain fall-back image with the *combined* early+late
   /// argument list (Plain collapses currying). The serving layer uses
@@ -270,11 +278,17 @@ private:
   /// Per-entry-point accounting for telemetry(). Specialization counters
   /// accumulate in specialize() alongside Memo (so summing Entries
   /// reproduces the Memo totals exactly); Calls count call() by name and
-  /// callAt() through AddrOwner.
+  /// callAt() through Specs.
   std::map<std::string, EntryPointProfile> Profiles;
-  /// Specialized address -> owning entry point, valid within the current
-  /// code epoch only (cleared by resetCodeSpace()).
-  std::unordered_map<uint32_t, std::string> AddrOwner;
+  /// What specialize() returned an address for: the owning entry point
+  /// and the code bytes its emitting run wrote.
+  struct SpecRecord {
+    std::string Fn;
+    uint64_t Bytes = 0;
+  };
+  /// Specialized address -> its record, valid within the current code
+  /// epoch only (cleared by resetCodeSpace()).
+  std::unordered_map<uint32_t, SpecRecord> Specs;
   uint64_t CodeEpoch = 0;
 };
 

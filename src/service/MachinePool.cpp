@@ -179,7 +179,8 @@ MachinePool::resolve(Machine &M, SpecCache &Cache,
   FabResult<uint32_t> S = M.specialize(Key.Fn, Words);
   if (!S)
     return S.error();
-  Resolved Out{*S, (M.vm().stats().DynWordsWritten - GenBefore) * 4};
+  Resolved Out{*S, M.specializationBytes(*S),
+               M.vm().stats().DynWordsWritten == GenBefore};
   // specialize() may have reset the code space (reset-and-retry), so tag
   // with the epoch as of *now*; the bytes fund the compaction planner's
   // budget.
@@ -208,7 +209,7 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
     FabResult<Resolved> S = resolve(M, Cache, Intern, R.Key, R.Early);
     if (!S)
       return finish(S.error());
-    if (!S.value().Bytes)
+    if (S.value().MemoHit)
       ++Local.Coalesced; // the in-VM memo answered the miss
     Addr = S.value().Addr;
   }

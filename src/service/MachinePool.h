@@ -223,11 +223,13 @@ private:
   /// compaction: lays \p Early out in the worker heap, runs the
   /// generator for \p Key (its prologue answers from the in-VM memo
   /// when the interned early data was specialized before), and records
-  /// the address in \p Cache with the code bytes the run emitted.
-  /// Returns those bytes (0 = the memo answered) with the address.
+  /// the address in \p Cache with the specialization's code bytes
+  /// (Machine::specializationBytes, so a memo-answered run is charged
+  /// what the run that emitted the code wrote).
   struct Resolved {
     uint32_t Addr = 0;
-    uint64_t Bytes = 0;
+    uint64_t Bytes = 0;   ///< the specialization's code bytes
+    bool MemoHit = false; ///< the in-VM memo answered; nothing was emitted
   };
   FabResult<Resolved>
   resolve(Machine &M, SpecCache &Cache,

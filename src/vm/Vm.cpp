@@ -24,6 +24,12 @@
 
 using namespace fab;
 
+/// The dispatch loop's functions start on a 64-byte boundary, so their
+/// branch and jump-table layout relative to cache lines and the
+/// decoded-icache windows does not move when code linked before them
+/// grows or shrinks (host-time metrics moved with it by up to 11%).
+#define FAB_VM_HOT [[gnu::aligned(64)]]
+
 std::string ExecResult::describe() const {
   std::ostringstream OS;
   switch (Reason) {
@@ -262,6 +268,28 @@ void Vm::setCodeRegions(uint32_t SLo, uint32_t SHi, uint32_t DLo,
                         uint32_t DHi) {
   StaticLo = SLo;
   StaticHi = SHi;
+  // The dirty bitmap covers the new dynamic segment's lines; a line dirty
+  // in both the old and the new segment stays dirty.
+  const uint32_t Line = Opts.IcacheLineBytes;
+  std::vector<uint64_t> Bits;
+  uint32_t Base = 0, Count = 0;
+  if (DHi > DLo) {
+    Base = DLo / Line;
+    const uint32_t Lines = (DHi - 1) / Line - Base + 1;
+    Bits.assign((Lines + 63) / 64, 0);
+    for (size_t W = 0; W < DirtyBits.size(); ++W)
+      for (uint64_t Word = DirtyBits[W]; Word; Word &= Word - 1) {
+        const uint32_t I = DirtyBase + static_cast<uint32_t>(W * 64) +
+                           std::countr_zero(Word) - Base;
+        if (I < Lines) {
+          Bits[I >> 6] |= uint64_t{1} << (I & 63);
+          ++Count;
+        }
+      }
+  }
+  DirtyBits = std::move(Bits);
+  DirtyBase = Base;
+  DirtyCount = Count;
   DynLo = DLo;
   DynHi = DHi;
   // Region classes partition cached blocks; re-declaring regions could
@@ -304,9 +332,9 @@ void Vm::noteHostWrite(uint32_t Lo, uint32_t Bytes) {
   // flushed (guest `flush` or host flushIcache) before execution.
   if (DynHi > DynLo && Lo < DynHi && Hi > DynLo) {
     const uint32_t Line = Opts.IcacheLineBytes;
-    uint32_t L = std::max(Lo, DynLo), H = std::min(Hi, DynHi);
-    for (uint32_t A = L & ~(Line - 1); A < H; A += Line)
-      DirtyLines.insert(A / Line);
+    const uint32_t L = std::max(Lo, DynLo), H = std::min(Hi, DynHi);
+    const uint32_t Start = L & ~(Line - 1);
+    setDirtyLines(Start / Line, Start / Line + (H - 1 - Start) / Line, true);
   }
   // Predecoded blocks under the written range are stale regardless of
   // which code region they live in. Blocks never straddle a region
@@ -320,9 +348,38 @@ void Vm::noteHostWrite(uint32_t Lo, uint32_t Bytes) {
 }
 
 void Vm::flushIcache(uint32_t Addr, uint32_t Len) {
+  if (!DirtyCount)
+    return;
+  // The lines of [Addr & ~(Line - 1), Addr + Len), with the end taken
+  // modulo 2^32 as the guest's registers hold it.
   const uint32_t Line = Opts.IcacheLineBytes;
-  for (uint32_t A = Addr & ~(Line - 1); A < Addr + Len; A += Line)
-    DirtyLines.erase(A / Line);
+  const uint32_t Start = Addr & ~(Line - 1), End = Addr + Len;
+  if (Start < End)
+    setDirtyLines(Start / Line, Start / Line + (End - 1 - Start) / Line,
+                  false);
+}
+
+void Vm::setDirtyLines(uint64_t Lo, uint64_t Hi, bool Dirty) {
+  if (DirtyBits.empty())
+    return;
+  Lo = std::max<uint64_t>(Lo, DirtyBase);
+  Hi = std::min<uint64_t>(Hi, (DynHi - 1) / Opts.IcacheLineBytes);
+  while (Lo <= Hi) {
+    // One word at a time: the bits of [Lo, Hi] within Lo's word.
+    const uint64_t I = Lo - DirtyBase, Shift = I & 63;
+    const uint64_t Take = std::min<uint64_t>(64 - Shift, Hi - Lo + 1);
+    const uint64_t Mask = (Take == 64 ? ~uint64_t{0}
+                                      : (uint64_t{1} << Take) - 1)
+                          << Shift;
+    uint64_t &W = DirtyBits[I >> 6];
+    const uint64_t Flip = Dirty ? Mask & ~W : Mask & W;
+    W ^= Flip;
+    if (Dirty)
+      DirtyCount += std::popcount(Flip);
+    else
+      DirtyCount -= std::popcount(Flip);
+    Lo += Take;
+  }
 }
 
 uint32_t Vm::fetch(uint32_t Addr) const {
@@ -357,36 +414,51 @@ void Vm::clearDecodeCache() {
   for (auto &[Pc, B] : Blocks)
     Retired.push_back(std::move(B));
   Blocks.clear();
-  LineOwners.clear();
+  for (LineCounts &T : Owners)
+    T.N.clear();
+  OwnedLines = 0;
   Region0Blocks = 0;
   if (!Quick.empty())
     std::fill(Quick.begin(), Quick.end(), nullptr);
 }
 
-void Vm::retireBlock(uint32_t EntryPc) {
-  auto It = Blocks.find(EntryPc);
-  if (It == Blocks.end())
-    return;
+void Vm::indexBlock(const Block &B, int Delta) {
+  LineCounts &T = Owners[B.Region];
+  if (Delta > 0) {
+    // Grow the region's table to cover the block's lines.
+    if (T.N.empty())
+      T.Base = B.FirstLine;
+    if (B.FirstLine < T.Base) {
+      T.N.insert(T.N.begin(), T.Base - B.FirstLine, 0);
+      T.Base = B.FirstLine;
+    }
+    if (B.LastLine - T.Base >= T.N.size())
+      T.N.resize(B.LastLine - T.Base + 1, 0);
+  }
+  for (uint32_t L = B.FirstLine; L <= B.LastLine; ++L) {
+    uint32_t &N = T.N[L - T.Base];
+    if (Delta > 0) {
+      OwnedLines += !lineOwned(L);
+      ++N;
+    } else {
+      --N;
+      OwnedLines -= !lineOwned(L);
+    }
+  }
+}
+
+void Vm::retireBlock(BlockMap::iterator It) {
+  Block *B = It->second.get();
   // Window 0: only back-to-back retirements (an invalidation flood from
   // one host write) coalesce into a single event with a count.
   if (Ring.enabled())
     Ring.recordMerged(telemetry::EventKind::BlockInvalidate, Stats.Executed,
-                      /*Window=*/0, EntryPc, 1);
-  Block *B = It->second.get();
+                      /*Window=*/0, B->Base, 1);
   if (B->Region == 0)
     --Region0Blocks;
-  for (uint32_t L = B->FirstLine; L <= B->LastLine; ++L) {
-    auto OIt = LineOwners.find(L);
-    if (OIt == LineOwners.end())
-      continue;
-    auto &Owners = OIt->second;
-    Owners.erase(std::remove(Owners.begin(), Owners.end(), EntryPc),
-                 Owners.end());
-    if (Owners.empty())
-      LineOwners.erase(OIt);
-  }
-  if (Quick[quickSlot(EntryPc)] == B)
-    Quick[quickSlot(EntryPc)] = nullptr;
+  indexBlock(*B, -1);
+  if (Quick[quickSlot(B->Base)] == B)
+    Quick[quickSlot(B->Base)] = nullptr;
   // Keep the storage alive until the next dispatch point: the retiring
   // store may have been issued from within this very block.
   Retired.push_back(std::move(It->second));
@@ -396,33 +468,43 @@ void Vm::retireBlock(uint32_t EntryPc) {
 }
 
 void Vm::invalidateLineBlocks(uint32_t Addr) {
-  auto It = LineOwners.find(Addr / Opts.IcacheLineBytes);
-  if (It == LineOwners.end())
+  const uint32_t Line = Opts.IcacheLineBytes;
+  const uint32_t L = Addr / Line;
+  if (!lineOwned(L))
     return;
-  // retireBlock edits the owner lists; iterate over a snapshot.
-  std::vector<uint32_t> Owners = It->second;
-  for (uint32_t EntryPc : Owners)
-    retireBlock(EntryPc);
+  // A block overlapping line L starts at most MaxBlockInsts words before
+  // the line: probe those entry PCs in ascending order until the line's
+  // count drops to zero.
+  const uint64_t LineLo = uint64_t{L} * Line;
+  const uint64_t Reach = 4 * uint64_t{std::max(1u, Opts.MaxBlockInsts)};
+  const uint64_t End = std::min<uint64_t>(LineLo + Line, Opts.MemBytes);
+  for (uint64_t Pc = LineLo > Reach ? (LineLo - Reach) & ~uint64_t{3} : 0;
+       Pc < End && lineOwned(L); Pc += 4) {
+    auto It = Blocks.find(static_cast<uint32_t>(Pc));
+    if (It != Blocks.end() && It->second->FirstLine <= L &&
+        L <= It->second->LastLine)
+      retireBlock(It);
+  }
 }
 
 void Vm::invalidateRange(uint32_t Lo, uint32_t Hi) {
-  if (Lo >= Hi || LineOwners.empty())
+  if (Lo >= Hi || !OwnedLines)
     return;
   const uint32_t Line = Opts.IcacheLineBytes;
   uint64_t RangeLines = (static_cast<uint64_t>(Hi - 1) / Line) - Lo / Line + 1;
-  if (RangeLines <= LineOwners.size() * 2) {
+  if (RangeLines <= uint64_t{OwnedLines} * 2) {
     for (uint64_t L = Lo / Line; L <= (Hi - 1) / Line; ++L)
       invalidateLineBlocks(static_cast<uint32_t>(L * Line));
     return;
   }
   // A wide range (loading a whole image, resetCodeSpace's sweep of the
   // dynamic segment) over a smaller cache: one pass over the cached
-  // blocks, then one pass pruning LineOwners, instead of retiring the
-  // victims one by one. Observables match retireBlock's exactly: the
-  // same Invalidations count and, since nothing executes in between, the
-  // same single coalesced trace event (first victim, victim count).
+  // blocks instead of probing every line of the range. Observables match
+  // retireBlock's exactly: the same Invalidations count and, since
+  // nothing executes in between, the same single coalesced trace event
+  // (first victim, victim count).
   uint64_t Dropped = 0;
-  uint32_t FirstPc = 0, LoLine = UINT32_MAX, HiLine = 0;
+  uint32_t FirstPc = 0;
   for (auto It = Blocks.begin(); It != Blocks.end();) {
     Block *B = It->second.get();
     if (B->Base >= Hi || B->Base + 4 * B->InstCount <= Lo) {
@@ -431,10 +513,9 @@ void Vm::invalidateRange(uint32_t Lo, uint32_t Hi) {
     }
     if (Dropped++ == 0)
       FirstPc = It->first;
-    LoLine = std::min(LoLine, B->FirstLine);
-    HiLine = std::max(HiLine, B->LastLine);
     if (B->Region == 0)
       --Region0Blocks;
+    indexBlock(*B, -1);
     if (Quick[quickSlot(B->Base)] == B)
       Quick[quickSlot(B->Base)] = nullptr;
     // Keep the storage alive until the next dispatch point, as
@@ -444,16 +525,6 @@ void Vm::invalidateRange(uint32_t Lo, uint32_t Hi) {
   }
   if (!Dropped)
     return;
-  for (auto It = LineOwners.begin(); It != LineOwners.end();) {
-    if (It->first < LoLine || It->first > HiLine) {
-      ++It;
-      continue;
-    }
-    // The victims are gone from Blocks; keep the owners still there.
-    auto &Owners = It->second;
-    std::erase_if(Owners, [&](uint32_t Pc) { return !Blocks.count(Pc); });
-    It = Owners.empty() ? LineOwners.erase(It) : std::next(It);
-  }
   if (Ring.enabled())
     Ring.recordMerged(telemetry::EventKind::BlockInvalidate, Stats.Executed,
                       /*Window=*/0, FirstPc, Dropped);
@@ -467,7 +538,7 @@ void Vm::invalidateDecodeCache(uint32_t Lo, uint32_t Hi) {
 
 bool Vm::anyBlockLineDirty(const Block &B) const {
   for (uint32_t L = B.FirstLine; L <= B.LastLine; ++L)
-    if (DirtyLines.count(L))
+    if (lineDirty(L))
       return true;
   return false;
 }
@@ -477,6 +548,10 @@ bool Vm::anyBlockLineDirty(const Block &B) const {
 //===----------------------------------------------------------------------===//
 
 void Vm::buildBlock(uint32_t Pc, Block &B) {
+  // B may be recycled storage: keep only its micro-op capacity.
+  B.Ops.clear();
+  B.SuccTaken = B.SuccFall = nullptr;
+  B.EpochTaken = B.EpochFall = 0;
   B.Base = Pc;
   B.Region = regionClass(Pc);
   B.Ops.reserve(8);
@@ -623,7 +698,7 @@ void Vm::buildBlock(uint32_t Pc, Block &B) {
   B.LastLine = (B.Base + 4 * Count - 1) / Line;
 }
 
-Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
+FAB_VM_HOT Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
   if (!inBounds(Pc) || (Pc & 3))
     return nullptr; // slow path raises BadFetch with exact accounting
   const uint32_t Slot = quickSlot(Pc);
@@ -633,12 +708,17 @@ Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
   if (It == Blocks.end()) {
     if (Blocks.size() >= std::max(1u, Opts.MaxCachedBlocks))
       clearDecodeCache();
-    auto Owned = std::make_unique<Block>();
+    std::unique_ptr<Block> Owned;
+    if (Spare.empty()) {
+      Owned = std::make_unique<Block>();
+    } else {
+      Owned = std::move(Spare.back());
+      Spare.pop_back();
+    }
     buildBlock(Pc, *Owned);
     if (Owned->Region == 0)
       ++Region0Blocks;
-    for (uint32_t L = Owned->FirstLine; L <= Owned->LastLine; ++L)
-      LineOwners[L].push_back(Pc);
+    indexBlock(*Owned, +1);
     ++CacheStats.BlocksBuilt;
     if (TraceLive)
       Ring.record(telemetry::EventKind::BlockBuild, Stats.Executed, Pc,
@@ -702,7 +782,7 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
 
   // Coherence check: the generated-code discipline requires a flush
   // before executing freshly written dynamic code (paper section 3.4).
-  if (inDynRegion(Pc) && DirtyLines.count(Pc / Line)) {
+  if (DirtyCount && inDynRegion(Pc) && lineDirty(Pc / Line)) {
     ++CoherenceViolations;
     if (Opts.TrapOnIncoherentFetch) {
       R = stopFault(Fault::IcacheIncoherent, Pc);
@@ -860,8 +940,7 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
       Stats.Cycles += Opts.FlushTrapCycles;
       if (Opts.FlushBytesPerCycle)
         Stats.Cycles += Len / Opts.FlushBytesPerCycle;
-      for (uint32_t Addr = Lo & ~(Line - 1); Addr < Lo + Len; Addr += Line)
-        DirtyLines.erase(Addr / Line);
+      flushIcache(Lo, Len);
       break;
     }
     case ExtFn::PutInt:
@@ -955,7 +1034,7 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
     std::memcpy(&Mem[Addr], &RtV, 4);
     if (inDynRegion(Addr)) {
       ++Stats.DynWordsWritten;
-      DirtyLines.insert(Addr / Line);
+      markDirty(Addr / Line);
     }
     // Keep predecoded blocks coherent with guest code writes.
     if (Opts.EnableDecodeCache &&
@@ -969,7 +1048,8 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
   return false;
 }
 
-Vm::BlockExit Vm::execBlock(Block &B, RunState &S, ExecResult &R) {
+FAB_VM_HOT Vm::BlockExit Vm::execBlock(Block &B, RunState &S,
+                                       ExecResult &R) {
   const uint32_t Line = Opts.IcacheLineBytes;
   Block *Cur = &B;
 
@@ -1187,7 +1267,7 @@ for (;;) {
       const bool InDyn = inDynRegion(Addr);
       if (InDyn) {
         ++Stats.DynWordsWritten;
-        DirtyLines.insert(Addr / Line);
+        markDirty(Addr / Line);
       }
       if (InDyn || inStaticRegion(Addr)) {
         invalidateLineBlocks(Addr);
@@ -1275,8 +1355,7 @@ for (;;) {
       Stats.Cycles += Opts.FlushTrapCycles;
       if (Opts.FlushBytesPerCycle)
         Stats.Cycles += FlushLen / Opts.FlushBytesPerCycle;
-      for (uint32_t A = Lo & ~(Line - 1); A < Lo + FlushLen; A += Line)
-        DirtyLines.erase(A / Line);
+      flushIcache(Lo, FlushLen);
       S.Pc = Pc + 4;
       return BlockExit::Next;
     }
@@ -1321,14 +1400,14 @@ chain:
     SlotEpoch = CacheEpoch;
   }
   if (S.Budget < Nx->InstCount ||
-      (Nx->Region == 2 && !DirtyLines.empty() && anyBlockLineDirty(*Nx)))
+      (Nx->Region == 2 && DirtyCount && anyBlockLineDirty(*Nx)))
     return BlockExit::Next;
   ++CacheStats.BlockRuns;
   Cur = Nx;
 }
 }
 
-ExecResult Vm::run(uint32_t EntryPc) {
+FAB_VM_HOT ExecResult Vm::run(uint32_t EntryPc) {
   RunState S{EntryPc, Opts.Fuel, 0};
   ExecResult R;
   const bool Fast = Opts.EnableDecodeCache;
@@ -1349,12 +1428,16 @@ ExecResult Vm::run(uint32_t EntryPc) {
     // block, or a dirty line under the block (per-fetch coherence
     // checks must fire at the precise PC).
     if (Fast && !Opts.Injector.Armed) {
-      if (!Retired.empty())
+      // Dispatch point: nothing retired can still be executing, so its
+      // storage goes back to the builder.
+      if (!Retired.empty()) {
+        for (std::unique_ptr<Block> &B : Retired)
+          Spare.push_back(std::move(B));
         Retired.clear();
+      }
       if (Block *B = lookupOrBuildBlock(S.Pc)) {
         if (S.Budget >= B->InstCount &&
-            !(B->Region == 2 && !DirtyLines.empty() &&
-              anyBlockLineDirty(*B))) {
+            !(B->Region == 2 && DirtyCount && anyBlockLineDirty(*B))) {
           ++CacheStats.BlockRuns;
           if (execBlock(*B, S, R) == BlockExit::Stopped)
             return R;

@@ -34,7 +34,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace fab {
@@ -170,8 +169,9 @@ public:
   bool store32(uint32_t Addr, uint32_t Value);
   bool writeBlock(uint32_t Addr, const uint32_t *Words, size_t Count);
   /// Host-side I-cache invalidation for [Addr, Addr + Len): clears dirty
-  /// lines like the guest `flush` service instruction but charges no
-  /// simulated cycles (a loader/DMA-style operation, not guest work).
+  /// lines like the guest `flush` service instruction (which calls it)
+  /// but charges no simulated cycles (a loader/DMA-style operation, not
+  /// guest work).
   void flushIcache(uint32_t Addr, uint32_t Len);
   uint32_t memBytes() const { return Opts.MemBytes; }
   /// Raw memory for snapshot/diff assertions (e.g. proving a faulting
@@ -281,6 +281,8 @@ private:
     uint64_t EpochTaken = 0, EpochFall = 0;
   };
 
+  using BlockMap = std::unordered_map<uint32_t, std::unique_ptr<Block>>;
+
   /// Per-run() mutable state threaded through both execution tiers.
   struct RunState {
     uint32_t Pc;
@@ -302,10 +304,34 @@ private:
   bool stepSlow(RunState &S, ExecResult &R);
 
   bool anyBlockLineDirty(const Block &B) const;
+  bool lineDirty(uint32_t L) const {
+    const uint32_t I = L - DirtyBase;
+    return (I >> 6) < DirtyBits.size() && ((DirtyBits[I >> 6] >> (I & 63)) & 1);
+  }
+  /// Marks line \p L dirty; \p L must be a line of the dynamic segment.
+  void markDirty(uint32_t L) {
+    const uint32_t I = L - DirtyBase;
+    uint64_t &W = DirtyBits[I >> 6];
+    const uint64_t Bit = uint64_t{1} << (I & 63);
+    DirtyCount += (W & Bit) == 0;
+    W |= Bit;
+  }
+  /// Sets (Dirty) or clears the dirty bits of lines [Lo, Hi], clipped to
+  /// the dynamic segment, keeping DirtyCount exact.
+  void setDirtyLines(uint64_t Lo, uint64_t Hi, bool Dirty);
+  /// True while some cached block overlaps I-cache line \p L.
+  bool lineOwned(uint32_t L) const {
+    for (const LineCounts &T : Owners)
+      if (L - T.Base < T.N.size() && T.N[L - T.Base])
+        return true;
+    return false;
+  }
+  /// Adds (Delta = +1) or removes (-1) \p B's lines in the owner counts.
+  void indexBlock(const Block &B, int Delta);
   /// Drops cached blocks overlapping the I-cache line containing Addr.
   void invalidateLineBlocks(uint32_t Addr);
   void invalidateRange(uint32_t Lo, uint32_t Hi);
-  void retireBlock(uint32_t EntryPc);
+  void retireBlock(BlockMap::iterator It);
   void clearDecodeCache();
   /// Coherence bookkeeping for host-initiated writes (store32/writeBlock).
   void noteHostWrite(uint32_t Lo, uint32_t Bytes);
@@ -331,14 +357,24 @@ private:
   std::string Output;
 
   uint32_t StaticLo = 0, StaticHi = 0, DynLo = 0, DynHi = 0;
-  /// Dirty I-cache lines in the dynamic region (line index = addr / line).
-  std::unordered_set<uint32_t> DirtyLines;
+  /// Dirty I-cache lines of the dynamic segment: bit I stands for line
+  /// DirtyBase + I (line index = addr / line size), one bit per line of
+  /// [DynLo, DynHi). DirtyCount is the number of bits set.
+  std::vector<uint64_t> DirtyBits;
+  uint32_t DirtyBase = 0, DirtyCount = 0;
 
   /// Block cache: entry PC -> predecoded block.
-  std::unordered_map<uint32_t, std::unique_ptr<Block>> Blocks;
-  /// Invalidation index: I-cache line index -> entry PCs of cached blocks
-  /// overlapping that line.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> LineOwners;
+  BlockMap Blocks;
+  /// Invalidation index: how many cached blocks overlap each I-cache
+  /// line. One table per region class (Block::Region), each covering
+  /// only the lines its blocks were built on; N[I] counts line Base + I.
+  struct LineCounts {
+    uint32_t Base = 0;
+    std::vector<uint32_t> N;
+  };
+  LineCounts Owners[3];
+  /// Lines with a nonzero count in any table.
+  uint32_t OwnedLines = 0;
   /// Cached blocks outside both code regions (Region 0). While zero, a
   /// host write that misses both code regions cannot hit a cached block.
   uint32_t Region0Blocks = 0;
@@ -347,8 +383,9 @@ private:
   std::vector<Block *> Quick;
   /// Blocks invalidated while possibly still executing; kept alive until
   /// the next dispatch point so self-modifying code cannot free the block
-  /// it is running from.
-  std::vector<std::unique_ptr<Block>> Retired;
+  /// it is running from. They then move to Spare, whose storage (micro-op
+  /// arrays included) the next block builds reuse.
+  std::vector<std::unique_ptr<Block>> Retired, Spare;
   /// Bumped on every block retirement; validates chained Succ pointers.
   uint64_t CacheEpoch = 1;
   DecodeCacheStats CacheStats;

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ParkFirstRequest.h"
 #include "service/CachePersist.h"
 #include "service/SpecServer.h"
 
@@ -36,25 +37,6 @@ namespace {
 const char *SimpleSrc = "fun f (k : int) (x : int) = x * k + k";
 
 SpecKey intKey(int32_t K) { return SpecKey::make("f", {Value::ofInt(K)}); }
-
-/// A BeforeRequest hook that parks a one-worker pool inside its first
-/// request until release(), so whatever is submitted meanwhile is
-/// drained afterwards as one batch.
-struct ParkFirstRequest {
-  std::promise<void> EnteredP, ReleaseP;
-  std::future<void> Entered = EnteredP.get_future();
-  std::shared_future<void> Released = ReleaseP.get_future().share();
-
-  std::function<void(unsigned, Machine &, uint64_t)> hook() {
-    return [this](unsigned, Machine &, uint64_t Seq) {
-      if (Seq == 1) {
-        EnteredP.set_value();
-        Released.wait();
-      }
-    };
-  }
-  void release() { ReleaseP.set_value(); }
-};
 
 } // namespace
 
@@ -198,14 +180,19 @@ TEST(CachePolicy, BatchPeersResolveThroughCacheAndMemo) {
   // cache, the in-VM memo answers it without emitting code, and as the
   // key's second sighting it is admitted. The next two hit the cache.
   // An invalidate in the same batch then drops key 2, so the request
-  // after it misses and the memo answers it again.
+  // after it misses and the memo answers it again. Each memo-answered
+  // insert is charged the bytes key 2's generator run emitted.
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
+  std::string Path = testing::TempDir() + "cache_policy_batch_peers.fabc";
+  std::remove(Path.c_str());
   ServerOptions SO;
   SO.Pool.Workers = 1;
   SO.Pool.Cache.Capacity = 1;
+  SO.Pool.Cache.SaveFile = Path;
   ParkFirstRequest Park;
   SO.Pool.BeforeRequest = Park.hook();
   SpecServer S(C, SO);
+  auto Unpark = Park.releaseOnExit();
 
   auto Resident = S.submit("f", {Value::ofInt(1)}, {Value::ofInt(10)});
   Park.Entered.wait();
@@ -240,6 +227,26 @@ TEST(CachePolicy, BatchPeersResolveThroughCacheAndMemo) {
   EXPECT_EQ(St.Coalesced, 2u);
   EXPECT_EQ(St.Memo.GeneratorRuns, 4u);
   EXPECT_EQ(St.Memo.MemoHits, 2u);
+
+  // What key 2's code costs, from a lone machine's emitting run.
+  Machine Lone(C);
+  const uint64_t WordsBefore = Lone.vm().stats().DynWordsWritten;
+  const uint32_t Addr = Lone.specializeOrDie("f", {2});
+  const uint64_t Key2Bytes =
+      (Lone.vm().stats().DynWordsWritten - WordsBefore) * 4;
+  ASSERT_GT(Key2Bytes, 0u);
+  EXPECT_EQ(Lone.specializationBytes(Addr), Key2Bytes);
+
+  // The cache ends holding key 2 from the last, memo-answered insert.
+  S.shutdown();
+  std::optional<CacheFile> Saved = loadCacheFile(Path, compilationFingerprint(C));
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Saved);
+  ASSERT_EQ(Saved->Workers.size(), 1u);
+  const std::vector<WorkerImage::EntryRow> &Entries = Saved->Workers[0].Entries;
+  ASSERT_EQ(Entries.size(), 1u);
+  EXPECT_EQ(Entries[0].Words, intKey(2).Words);
+  EXPECT_EQ(Entries[0].Bytes, Key2Bytes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -268,6 +275,7 @@ TEST(PoolEnv, MalformedCountOverridesKeepOptionValues) {
   setenv("FAB_CACHE_CAPACITY", "-1", 1);
   testing::internal::CaptureStderr();
   SpecServer S(C, SO);
+  auto Unpark = Park.releaseOnExit();
   std::string Err = testing::internal::GetCapturedStderr();
   unsetenv("FAB_QUEUE_DEPTH");
   unsetenv("FAB_CACHE_CAPACITY");

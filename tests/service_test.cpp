@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ParkFirstRequest.h"
 #include "service/SpecServer.h"
 
 #include "bpf/Bpf.h"
@@ -478,23 +479,15 @@ TEST(SpecServer, BoundedQueueShedsWithRejected) {
   ServerOptions SO;
   SO.Pool.Workers = 1;
   SO.Pool.MaxQueueDepth = 2;
-  std::promise<void> EnteredP, ReleaseP;
-  std::future<void> Entered = EnteredP.get_future();
-  std::shared_future<void> Release = ReleaseP.get_future().share();
-  SO.Pool.BeforeRequest = [&, Signalled = false](unsigned, Machine &,
-                                                 uint64_t Seq) mutable {
-    if (Seq == 1 && !Signalled) {
-      Signalled = true;
-      EnteredP.set_value();
-      Release.wait();
-    }
-  };
+  ParkFirstRequest Park;
+  SO.Pool.BeforeRequest = Park.hook();
   SpecServer S(C, SO);
+  auto Unpark = Park.releaseOnExit();
 
   // First request: dequeued (the batch swap empties the queue), then
   // parked in the hook — so the worker is busy and the queue is empty.
   auto F0 = S.submit("f", {Value::ofInt(1)}, {Value::ofInt(5)});
-  Entered.wait();
+  Park.Entered.wait();
   // Fill the queue to its depth, then two more that must shed.
   auto F1 = S.submit("f", {Value::ofInt(2)}, {Value::ofInt(5)});
   auto F2 = S.submit("f", {Value::ofInt(3)}, {Value::ofInt(5)});
@@ -509,7 +502,7 @@ TEST(SpecServer, BoundedQueueShedsWithRejected) {
   EXPECT_EQ(R3.error().Code, FabErrc::Rejected);
   EXPECT_EQ(R4.error().Code, FabErrc::Rejected);
 
-  ReleaseP.set_value();
+  Park.release();
   for (auto *F : {&F0, &F1, &F2}) {
     FabResult<int32_t> R = F->get();
     ASSERT_TRUE(R.ok());
@@ -536,27 +529,19 @@ TEST(SpecServer, DeadlineShedsLateWorkAtDequeue) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   ServerOptions SO;
   SO.Pool.Workers = 1;
-  std::promise<void> EnteredP, ReleaseP;
-  std::future<void> Entered = EnteredP.get_future();
-  std::shared_future<void> Release = ReleaseP.get_future().share();
-  SO.Pool.BeforeRequest = [&, Signalled = false](unsigned, Machine &,
-                                                 uint64_t Seq) mutable {
-    if (Seq == 1 && !Signalled) {
-      Signalled = true;
-      EnteredP.set_value();
-      Release.wait();
-    }
-  };
+  ParkFirstRequest Park;
+  SO.Pool.BeforeRequest = Park.hook();
   SpecServer S(C, SO);
+  auto Unpark = Park.releaseOnExit();
 
   auto F0 = S.submit("f", {Value::ofInt(1)}, {Value::ofInt(5)});
-  Entered.wait();
+  Park.Entered.wait();
   SubmitOptions O;
   O.DeadlineNs = 2'000'000; // 2 ms
   O.MaxRetries = 1;
   auto F1 = S.submit("f", {Value::ofInt(2)}, {Value::ofInt(5)}, O);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ReleaseP.set_value();
+  Park.release();
 
   ASSERT_TRUE(F0.get().ok());
   FabResult<int32_t> R1 = F1.get();

@@ -19,10 +19,12 @@
 #include "core/Fabius.h"
 #include "runtime/HeapImage.h"
 #include "runtime/Layout.h"
+#include "support/StringUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <span>
 
 using namespace fab;
@@ -469,6 +471,234 @@ TEST(HostWriteCoherence, WideInvalidationKeepsLineNeighbourIndexed) {
 }
 
 //===----------------------------------------------------------------------===//
+// Coherence bookkeeping edges: the line-count index, the dirty-line
+// bitmap's ends, re-declared regions
+//===----------------------------------------------------------------------===//
+
+// The line-count index finds a line's blocks by probing entry PCs up to
+// MaxBlockInsts words before the line. Here the line's only block starts
+// MaxBlockInsts - 1 words before it (its last word is the line's first),
+// the farthest any overlapping block can start: a guest store and then a
+// host store into the line must each retire exactly that block.
+TEST(LineIndex, StoreRetiresBlockStartingMaxBlockInstsMinusOneWordsEarlier) {
+  const uint32_t Max = VmOptions().MaxBlockInsts;
+  const uint32_t Line = VmOptions().IcacheLineBytes;
+  // The line the block ends in, past the caller's code.
+  const uint32_t LineLo = layout::StaticCodeBase + 64 * Line;
+  const uint32_t BlkBase = LineLo - 4 * (Max - 1);
+  const uint32_t Target = LineLo + 8; // a data word in the same line
+
+  Assembler A(layout::StaticCodeBase);
+  Label Blk = A.newLabel();
+  A.jal(Blk);
+  A.move(S0, V0);
+  A.li(T0, static_cast<int32_t>(Target));
+  A.sw(Zero, 0, T0); // guest store into the block's last line
+  A.jal(Blk);
+  A.addu(V0, V0, S0);
+  A.halt();
+  while (A.currentAddr() < BlkBase)
+    A.nop();
+  ASSERT_EQ(A.currentAddr(), BlkBase);
+  // Max instructions, no fusable pair: Max - 1 addius and the return.
+  A.bind(Blk);
+  A.addiu(V0, Zero, 0);
+  for (uint32_t I = 2; I < Max; ++I)
+    A.addiu(V0, V0, 1);
+  A.jr(Ra);
+  ASSERT_EQ(A.currentAddr(), LineLo + 4);
+  A.data(0);
+  A.data(0); // Target
+  A.finalize();
+
+  Vm M;
+  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                   layout::DynCodeBase, layout::DynCodeEnd);
+  M.setReg(Sp, layout::StackTop);
+  ASSERT_TRUE(M.writeBlock(A.baseAddr(), A.code().data(), A.code().size()));
+  const int32_t Body = static_cast<int32_t>(Max) - 2;
+
+  const uint64_t Inval0 = M.decodeCacheStats().Invalidations;
+  ExecResult R = M.run(layout::StaticCodeBase);
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_EQ(static_cast<int32_t>(R.V0), 2 * Body);
+  const bool Cache = M.decodeCacheEnabled();
+  EXPECT_EQ(M.decodeCacheStats().Invalidations - Inval0, Cache ? 1u : 0u);
+
+  // The second call rebuilt the block; a host store retires it again.
+  const uint64_t Inval1 = M.decodeCacheStats().Invalidations;
+  ASSERT_TRUE(M.store32(Target, 0));
+  EXPECT_EQ(M.decodeCacheStats().Invalidations - Inval1, Cache ? 1u : 0u);
+  R = M.run(layout::StaticCodeBase);
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_EQ(static_cast<int32_t>(R.V0), 2 * Body);
+}
+
+namespace {
+
+/// One host call's result and the instructions it retired on each tier.
+struct CallOutcome {
+  ExecResult R;
+  DecodeCacheStats Delta; ///< only FastInsts and SlowInsts are filled in
+};
+
+/// Calls the function at \p Entry with no arguments.
+CallOutcome callAt(Vm &M, uint32_t Entry) {
+  const DecodeCacheStats Before = M.decodeCacheStats();
+  CallOutcome O;
+  O.R = M.call(Entry, {});
+  const DecodeCacheStats &After = M.decodeCacheStats();
+  O.Delta.SlowInsts = After.SlowInsts - Before.SlowInsts;
+  O.Delta.FastInsts = After.FastInsts - Before.FastInsts;
+  return O;
+}
+
+/// `v0 = Value; return` as two words.
+std::array<uint32_t, 2> constFn(int16_t Value) {
+  return {encodeI(Opcode::Addiu, V0, Zero, static_cast<uint16_t>(Value)),
+          encodeR(Funct::Jr, Zero, Ra, Zero)};
+}
+
+} // namespace
+
+// Host writes and flushes that straddle either end of the dynamic
+// segment touch only the segment's lines. Executing a line still dirty
+// traps; once every line is flushed, dynamic code runs on the fast path
+// with no per-instruction coherence checks.
+TEST(DirtyLines, StraddlingRangesMarkAndFlushOnlySegmentLines) {
+  const uint32_t Lo = layout::DynCodeBase, Hi = layout::DynCodeEnd;
+  Vm M;
+  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd, Lo, Hi);
+  M.setReg(Sp, layout::StackTop);
+  const bool Cache = M.decodeCacheEnabled();
+
+  // [Lo - 8, Lo + 8): two heap words, then v0 = 7 at Lo.
+  const std::array<uint32_t, 2> F7 = constFn(7);
+  const uint32_t Low[4] = {0, 0, F7[0], F7[1]};
+  ASSERT_TRUE(M.writeBlock(Lo - 8, Low, 4));
+  // [Hi - 8, Hi + 8): v0 = 9 in the segment's last line, then two words
+  // of the stack region above it.
+  const std::array<uint32_t, 2> F9 = constFn(9);
+  const uint32_t High[4] = {F9[0], F9[1], 0, 0};
+  ASSERT_TRUE(M.writeBlock(Hi - 8, High, 4));
+  // A run of lines crossing several bitmap words, v0 = 3 at its start and
+  // v0 = 5 at its last line.
+  const uint32_t Mid = Lo + 0x1000, MidWords = 600;
+  std::vector<uint32_t> Run(MidWords, 0);
+  const std::array<uint32_t, 2> F3 = constFn(3), F5 = constFn(5);
+  std::copy(F3.begin(), F3.end(), Run.begin());
+  std::copy(F5.begin(), F5.end(), Run.end() - 4);
+  ASSERT_TRUE(M.writeBlock(Mid, Run.data(), Run.size()));
+  const uint32_t MidLast = Mid + 4 * (MidWords - 4);
+
+  for (uint32_t Entry : {Lo, Hi - 8, Mid, MidLast}) {
+    CallOutcome O = callAt(M, Entry);
+    EXPECT_EQ(O.R.FaultKind, Fault::IcacheIncoherent) << hex32(Entry);
+    EXPECT_EQ(O.R.FaultPc, Entry);
+  }
+
+  // Flush across the top end, then all but the last line of the run.
+  M.flushIcache(Hi - 16, 64);
+  M.flushIcache(Mid, 4 * (MidWords - 4));
+  EXPECT_EQ(static_cast<int32_t>(callAt(M, Hi - 8).R.V0), 9);
+  EXPECT_EQ(static_cast<int32_t>(callAt(M, Mid).R.V0), 3);
+  EXPECT_EQ(callAt(M, MidLast).R.FaultKind, Fault::IcacheIncoherent);
+  EXPECT_EQ(callAt(M, Lo).R.FaultKind, Fault::IcacheIncoherent);
+
+  // Flush across the bottom end and the run's last line: nothing is dirty.
+  M.flushIcache(Lo - 32, 48);
+  M.flushIcache(MidLast, 4);
+  for (auto [Entry, Want] : {std::pair{Lo, 7}, {Hi - 8, 9}, {Mid, 3},
+                             {MidLast, 5}}) {
+    CallOutcome O = callAt(M, Entry);
+    ASSERT_TRUE(O.R.ok()) << hex32(Entry) << ": " << O.R.describe();
+    EXPECT_EQ(static_cast<int32_t>(O.R.V0), Want);
+    if (Cache) {
+      EXPECT_EQ(O.Delta.SlowInsts, 0u) << hex32(Entry);
+      EXPECT_EQ(O.Delta.FastInsts, 2u) << hex32(Entry);
+    }
+  }
+  EXPECT_EQ(M.coherenceViolations(), 6u);
+}
+
+// A flush whose range ends in the last line of the 32-bit address space
+// clears the lines it covers and returns; stepping a line address past
+// 2^32 used to wrap to 0 and loop forever.
+TEST(DirtyLines, FlushEndingAtTheTopOfTheAddressSpaceTerminates) {
+  RunOutcome On = expectParity(assembled(+[](Assembler &A) {
+    A.li(T2, static_cast<int32_t>(layout::DynCodeBase));
+    A.sw(Zero, 0, T2); // one dirty line, so the flush has work to do
+    A.li(T0, static_cast<int32_t>(0xFFFFFF00u));
+    A.li(T1, 0xFF);
+    A.flush(T0, T1);
+    A.li(V0, 1);
+    A.halt();
+  }));
+  EXPECT_EQ(On.R.Reason, StopReason::Halted);
+  EXPECT_EQ(On.S.Flushes, 1u);
+
+  Vm M;
+  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                   layout::DynCodeBase, layout::DynCodeEnd);
+  ASSERT_TRUE(M.store32(layout::DynCodeBase, 0)); // one dirty line
+  M.flushIcache(0xFFFFFF00u, 0xFF);
+}
+
+// Re-declaring the code regions while blocks are cached drops them (the
+// region classes that split them changed) and keeps every line that was
+// dirty and is still in the dynamic segment dirty, although the
+// segment's first line moved.
+TEST(DirtyLines, RedeclaredRegionsWithLiveBlocksStillRunCorrectly) {
+  auto Drive = [](bool Cache) {
+    VmOptions VO;
+    VO.EnableDecodeCache = Cache;
+    Vm M(VO);
+    M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                     layout::DynCodeBase, layout::DynCodeEnd);
+    M.setReg(Sp, layout::StackTop);
+    const uint32_t Clean = layout::DynCodeBase + 0x100;
+    const uint32_t Dirty = layout::DynCodeBase + 0x200;
+    const std::array<uint32_t, 2> F4 = constFn(4), F6 = constFn(6);
+    EXPECT_TRUE(M.writeBlock(Clean, F4.data(), 2));
+    EXPECT_TRUE(M.writeBlock(Dirty, F6.data(), 2));
+    M.flushIcache(Clean, 8);
+    std::vector<ExecResult> Rs;
+    Rs.push_back(M.call(Clean, {})); // caches Clean's block
+    // Grow the segment downwards: its first line moves 64 lines down.
+    M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                     layout::DynCodeBase - 0x400, layout::DynCodeEnd);
+    Rs.push_back(M.call(Clean, {}));
+    Rs.push_back(M.call(Dirty, {})); // still dirty
+    M.flushIcache(Dirty, 8);
+    Rs.push_back(M.call(Dirty, {}));
+    // Shrink it from above past Dirty: Dirty is no longer dynamic code.
+    EXPECT_TRUE(M.store32(Dirty, F6[0]));
+    M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                     layout::DynCodeBase - 0x400, Dirty);
+    Rs.push_back(M.call(Dirty, {}));
+    return std::pair{Rs, M.stats()};
+  };
+  auto [On, OnStats] = Drive(true);
+  auto [Off, OffStats] = Drive(false);
+  ASSERT_EQ(On.size(), 5u);
+  const std::array<int32_t, 5> Want = {4, 4, -1, 6, 6};
+  for (size_t I = 0; I < On.size(); ++I) {
+    SCOPED_TRACE("call " + std::to_string(I));
+    EXPECT_EQ(On[I].Reason, Off[I].Reason);
+    EXPECT_EQ(On[I].FaultKind, Off[I].FaultKind);
+    EXPECT_EQ(On[I].FaultPc, Off[I].FaultPc);
+    EXPECT_EQ(On[I].V0, Off[I].V0);
+    if (Want[I] < 0) {
+      EXPECT_EQ(On[I].FaultKind, Fault::IcacheIncoherent);
+    } else {
+      ASSERT_TRUE(On[I].ok()) << On[I].describe();
+      EXPECT_EQ(static_cast<int32_t>(On[I].V0), Want[I]);
+    }
+  }
+  EXPECT_TRUE(OnStats == OffStats);
+}
+
+//===----------------------------------------------------------------------===//
 // Decode-cache statistics and Machine integration
 //===----------------------------------------------------------------------===//
 
@@ -565,6 +795,51 @@ TEST(MachineIntegration, ResetCodeSpaceInvalidatesCachedBlocks) {
   }
   // Respecialization after reset still computes the right answer.
   EXPECT_EQ(runDotprod(M), 130);
+}
+
+// Blocks retired by a code-space reset are recycled for the rebuilds.
+// Every epoch after the first does the same work, so on the decode cache
+// it must count the same builds, runs, fused ops and invalidations, and
+// fast plus slow instructions must add up to what the reference
+// interpreter executed.
+TEST(MachineIntegration, ResetThenRebuildKeepsDecodeCacheCounts) {
+  DiagnosticEngine Diags;
+  auto C = compile(DotSrc, FabiusOptions::deferred(), Diags);
+  ASSERT_TRUE(C) << Diags.str();
+  VmOptions Off;
+  Off.EnableDecodeCache = false;
+  Machine M(C->Unit), Ref(C->Unit, Off);
+
+  auto Epochs = [](Machine &X) {
+    const uint32_t V1 = X.heap().vector({1, 2, 3, 4, 5});
+    const uint32_t V2 = X.heap().vector({6, 7, 8, 9, 10});
+    std::vector<DecodeCacheStats> After;
+    for (int E = 0; E < 3; ++E) {
+      const uint32_t Spec = X.specializeOrDie("loop", {V1, 0, 5});
+      EXPECT_EQ(X.invokeOrDie<int32_t>(Spec, {V2, 0}), 130);
+      X.resetCodeSpace();
+      After.push_back(X.vm().decodeCacheStats());
+    }
+    return After;
+  };
+  const std::vector<DecodeCacheStats> On = Epochs(M), RefStats = Epochs(Ref);
+  EXPECT_TRUE(M.vm().stats() == Ref.vm().stats());
+  EXPECT_EQ(RefStats.back().SlowInsts, Ref.vm().stats().Executed);
+  if (!M.vm().decodeCacheEnabled())
+    return;
+  EXPECT_EQ(On.back().FastInsts + On.back().SlowInsts,
+            RefStats.back().SlowInsts);
+
+  auto Delta = [&](size_t E, uint64_t DecodeCacheStats::*F) {
+    return On[E].*F - On[E - 1].*F;
+  };
+  for (auto F : {&DecodeCacheStats::BlocksBuilt, &DecodeCacheStats::BlockRuns,
+                 &DecodeCacheStats::FastInsts, &DecodeCacheStats::SlowInsts,
+                 &DecodeCacheStats::FusedOps,
+                 &DecodeCacheStats::Invalidations})
+    EXPECT_EQ(Delta(1, F), Delta(2, F));
+  EXPECT_GT(Delta(1, &DecodeCacheStats::BlocksBuilt), 0u);
+  EXPECT_GT(Delta(1, &DecodeCacheStats::Invalidations), 0u);
 }
 
 TEST(MachineIntegration, FreshMachineIsZeroOutsideCodeAndTemplates) {
